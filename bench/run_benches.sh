@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Benchmark runner: thread-sweeps the fan-out benches, runs the stats-
-# warehouse plan-choice A/B sweeps (cold vs warmed optimizer), and merges
-# the per-bench JSON reports (including the registry counters/gauges
-# attributed to each run) into:
+# warehouse plan-choice A/B sweeps (cold vs warmed optimizer) and the plan
+# lint size sweep, and merges the per-bench JSON reports (including the
+# registry counters/gauges attributed to each run) into:
 #
 #   BENCH_PR5.json    the thread-sweep subset (kept for older tooling)
 #   BENCH_MULTI.json  the batched multi-query subset (CI asserts on it)
-#   BENCH.json        everything above plus the plan-choice sweeps; CI's
-#                     plan-choice regression gate reads this one
+#   BENCH.json        everything above plus the plan-choice and lint
+#                     sweeps; CI's plan-choice regression gate and lint
+#                     scaling gate read this one
 #
 #   bash bench/run_benches.sh
 #   BUILD_DIR=build-release OUT=/tmp/sweep.json bash bench/run_benches.sh
@@ -22,7 +23,7 @@ cd "$ROOT"
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-mkdir -p "$tmpdir/sweep" "$tmpdir/stats"
+mkdir -p "$tmpdir/sweep" "$tmpdir/stats" "$tmpdir/lint"
 
 "$BUILD_DIR/bench/bench_fig4_split" \
   --benchmark_filter='BM_Fig4_ForestFanOutThreads' \
@@ -68,6 +69,13 @@ cp "$tmpdir/sweep/multi_query.json" "${MULTI_OUT:-BENCH_MULTI.json}"
   --benchmark_filter='BM_Fig5_PlannedMatch_' \
   --benchmark_min_time="$MIN_TIME" \
   --json "$tmpdir/stats/fig5_planned.json"
+
+# Plan lint over ~2k- and ~200k-person forests: the time must not follow
+# the database size.
+"$BUILD_DIR/bench/bench_lint_plan" \
+  --benchmark_filter='BM_LintPlan_' \
+  --benchmark_min_time="$MIN_TIME" \
+  --json "$tmpdir/lint/lint_plan.json"
 
 merge() {
   python3 - "$1" "$2" <<'EOF'

@@ -198,7 +198,7 @@ class PlanLinter {
     }
 
     // §3.1, footnote 2: stored-attribute-only predicates.
-    for (Diagnostic& d : PlanNodeStoredAttrViolations(db_, node)) {
+    for (Diagnostic& d : PlanNodeStoredAttrViolations(db_, node, &types_)) {
       d.context = ctx;
       d.source = opts_.pattern_source;
       out_->push_back(std::move(d));
@@ -208,6 +208,8 @@ class PlanLinter {
   const Database& db_;
   const PlanLintOptions& opts_;
   std::vector<Diagnostic>* out_;
+  // Shared by every node of one walk: each collection is walked once.
+  CollectionTypeMemo types_;
 };
 
 }  // namespace

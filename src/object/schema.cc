@@ -36,6 +36,9 @@ Result<TypeId> Schema::RegisterType(std::string name,
       }
     }
   }
+  for (const AttrDef& attr : attrs) {
+    if (!attr.stored) computed_attrs_.insert(attr.name);
+  }
   TypeId id = static_cast<TypeId>(types_.size());
   by_name_.emplace(name, id);
   types_.emplace_back(std::move(name), std::move(attrs));

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -65,9 +66,17 @@ class Schema {
 
   size_t num_types() const { return types_.size(); }
 
+  /// True when some registered type declares `attr_name` with
+  /// `stored = false`. A predicate reading none of these attributes cannot
+  /// violate the §3.1 stored-attribute rule, whatever objects it meets.
+  bool IsComputedAttr(const std::string& attr_name) const {
+    return computed_attrs_.count(attr_name) > 0;
+  }
+
  private:
   std::vector<TypeDef> types_;
   std::unordered_map<std::string, TypeId> by_name_;
+  std::unordered_set<std::string> computed_attrs_;
 };
 
 }  // namespace aqua

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace aqua {
 
@@ -52,15 +55,47 @@ void CollectListPatternPreds(const ListPattern& lp,
   }
 }
 
-std::set<TypeId> TypesOfCells(const StoreView& store,
-                              const std::vector<NodePayload>& payloads) {
+void AddCellType(const StoreView& store, const NodePayload& p,
+                 std::set<TypeId>* types) {
+  if (!p.is_cell()) return;
+  auto obj = store.Get(p.oid());
+  if (obj.ok()) types->insert((*obj)->type());
+}
+
+/// The types of the objects a collection's cells contain, read in place
+/// from its node storage. A type set ignores order, so a tree is read in
+/// arena order; `Tree::Validate` guarantees the arena holds exactly the
+/// reachable nodes.
+std::set<TypeId> CellTypes(const StoreView& store, const Tree& tree) {
+  AQUA_OBS_COUNT("lint.collection_walks", 1);
   std::set<TypeId> types;
-  for (const NodePayload& p : payloads) {
-    if (!p.is_cell()) continue;
-    auto obj = store.Get(p.oid());
-    if (obj.ok()) types.insert((*obj)->type());
+  for (NodeId v = 0; v < tree.size(); ++v) {
+    AddCellType(store, tree.payload(v), &types);
   }
   return types;
+}
+
+std::set<TypeId> CellTypes(const StoreView& store, const List& list) {
+  AQUA_OBS_COUNT("lint.collection_walks", 1);
+  std::set<TypeId> types;
+  for (const NodePayload& p : list.elems()) AddCellType(store, p, &types);
+  return types;
+}
+
+/// True when some predicate reads an attribute that a schema type declares
+/// computed. Only then can a violation exist, so the checks below consult
+/// this before walking any collection.
+bool ReadsComputedAttr(const Schema& schema,
+                       const std::vector<PredicateRef>& preds) {
+  std::vector<std::string> attrs;
+  for (const PredicateRef& pred : preds) {
+    if (pred != nullptr) pred->CollectAttrs(&attrs);
+  }
+  return std::any_of(
+      attrs.begin(), attrs.end(),
+      [&schema](const std::string& attr) {
+        return schema.IsComputedAttr(attr);
+      });
 }
 
 /// The comparison node that reads `attr`, for span attribution.
@@ -113,13 +148,13 @@ void CollectPredicateViolations(const Schema& schema,
   }
 }
 
-void CollectPredsViolations(const StoreView& store,
+void CollectPredsViolations(const Schema& schema,
                             const std::set<TypeId>& types,
                             const std::vector<PredicateRef>& preds,
                             std::vector<lint::Diagnostic>* out) {
   for (const PredicateRef& pred : preds) {
     if (pred == nullptr) continue;
-    CollectPredicateViolations(store.schema(), types, *pred, out);
+    CollectPredicateViolations(schema, types, *pred, out);
   }
 }
 
@@ -142,16 +177,22 @@ void CollectScanCollections(const PlanRef& node,
   }
 }
 
-Result<std::set<TypeId>> TypesInCollection(const Database& db,
-                                           const std::string& name) {
+/// The types in collection `name`, walked at most once per memo. Unknown
+/// collections are NotFound and not memoized.
+Result<const std::set<TypeId>*> TypesInCollection(const Database& db,
+                                                  const std::string& name,
+                                                  CollectionTypeMemo* memo) {
+  auto it = memo->find(name);
+  if (it != memo->end()) return &it->second;
+  std::set<TypeId> types;
   if (db.HasTree(name)) {
     AQUA_ASSIGN_OR_RETURN(const Tree* tree, db.GetTree(name));
-    std::vector<NodePayload> payloads;
-    for (NodeId v : tree->Preorder()) payloads.push_back(tree->payload(v));
-    return TypesOfCells(db.store(), payloads);
+    types = CellTypes(db.store(), *tree);
+  } else {
+    AQUA_ASSIGN_OR_RETURN(const List* list, db.GetList(name));
+    types = CellTypes(db.store(), *list);
   }
-  AQUA_ASSIGN_OR_RETURN(const List* list, db.GetList(name));
-  return TypesOfCells(db.store(), list->elems());
+  return &memo->emplace(name, std::move(types)).first->second;
 }
 
 std::vector<PredicateRef> NodeParameterPreds(const PlanNode& node) {
@@ -165,17 +206,27 @@ std::vector<PredicateRef> NodeParameterPreds(const PlanNode& node) {
   return preds;
 }
 
+Status ValidateSubplan(const Database& db, const PlanRef& node,
+                       CollectionTypeMemo* memo) {
+  if (node == nullptr) return Status::InvalidArgument("null plan");
+  AQUA_RETURN_IF_ERROR(
+      FirstViolationStatus(PlanNodeStoredAttrViolations(db, node, memo)));
+  for (const PlanRef& child : node->children) {
+    AQUA_RETURN_IF_ERROR(ValidateSubplan(db, child, memo));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::vector<lint::Diagnostic> TreePatternStoredAttrViolations(
     const StoreView& store, const Tree& tree, const TreePatternRef& tp) {
   std::vector<lint::Diagnostic> out;
   if (tp == nullptr) return out;
-  std::vector<NodePayload> payloads;
-  for (NodeId v : tree.Preorder()) payloads.push_back(tree.payload(v));
   std::vector<PredicateRef> preds;
   CollectTreePatternPreds(*tp, &preds);
-  CollectPredsViolations(store, TypesOfCells(store, payloads), preds, &out);
+  if (!ReadsComputedAttr(store.schema(), preds)) return out;
+  CollectPredsViolations(store.schema(), CellTypes(store, tree), preds, &out);
   return out;
 }
 
@@ -185,23 +236,30 @@ std::vector<lint::Diagnostic> ListPatternStoredAttrViolations(
   if (lp.body == nullptr) return out;
   std::vector<PredicateRef> preds;
   CollectListPatternPreds(*lp.body, &preds);
-  CollectPredsViolations(store, TypesOfCells(store, list.elems()), preds, &out);
+  if (!ReadsComputedAttr(store.schema(), preds)) return out;
+  CollectPredsViolations(store.schema(), CellTypes(store, list), preds, &out);
   return out;
 }
 
 std::vector<lint::Diagnostic> PlanNodeStoredAttrViolations(
-    const Database& db, const PlanRef& node) {
+    const Database& db, const PlanRef& node, CollectionTypeMemo* memo) {
   std::vector<lint::Diagnostic> out;
   if (node == nullptr) return out;
+  std::vector<PredicateRef> preds = NodeParameterPreds(*node);
+  const Schema& schema = db.store().schema();
+  if (!ReadsComputedAttr(schema, preds)) return out;
+  // The types the parameters are evaluated against: everything in the
+  // collections scanned below the node (and by it, for physical index ops).
   std::vector<std::string> collections;
   CollectScanCollections(node, &collections);
   std::set<TypeId> types;
   for (const std::string& name : collections) {
-    Result<std::set<TypeId>> in_coll = TypesInCollection(db, name);
+    Result<const std::set<TypeId>*> in_coll =
+        TypesInCollection(db, name, memo);
     if (!in_coll.ok()) continue;  // unknown collection: AQL012's job
-    types.insert(in_coll->begin(), in_coll->end());
+    types.insert((*in_coll)->begin(), (*in_coll)->end());
   }
-  CollectPredsViolations(db.store(), types, NodeParameterPreds(*node), &out);
+  CollectPredsViolations(schema, types, preds, &out);
   return out;
 }
 
@@ -220,26 +278,17 @@ Status ValidateListPatternAgainst(const StoreView& store, const List& list,
 
 Status ValidatePlanPatterns(const Database& db, const PlanRef& plan) {
   if (plan == nullptr) return Status::InvalidArgument("null plan");
-  // The types this node's parameters are evaluated against: everything in
-  // the collections scanned below it (and by it, for physical index ops).
-  // Unknown collections stay hard errors here, unlike the lint pass.
+  // Unknown collections stay hard errors here, unlike the lint pass, and
+  // precede any violation — even where no predicate needs the walk.
   std::vector<std::string> collections;
   CollectScanCollections(plan, &collections);
-  std::set<TypeId> types;
   for (const std::string& name : collections) {
-    AQUA_ASSIGN_OR_RETURN(std::set<TypeId> in_coll,
-                          TypesInCollection(db, name));
-    types.insert(in_coll.begin(), in_coll.end());
+    if (!db.HasTree(name)) {
+      AQUA_RETURN_IF_ERROR(db.GetList(name).status());
+    }
   }
-
-  std::vector<lint::Diagnostic> diags;
-  CollectPredsViolations(db.store(), types, NodeParameterPreds(*plan), &diags);
-  AQUA_RETURN_IF_ERROR(FirstViolationStatus(diags));
-
-  for (const PlanRef& child : plan->children) {
-    AQUA_RETURN_IF_ERROR(ValidatePlanPatterns(db, child));
-  }
-  return Status::OK();
+  CollectionTypeMemo memo;
+  return ValidateSubplan(db, plan, &memo);
 }
 
 }  // namespace aqua

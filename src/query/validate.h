@@ -1,6 +1,9 @@
 #ifndef AQUA_QUERY_VALIDATE_H_
 #define AQUA_QUERY_VALIDATE_H_
 
+#include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -46,12 +49,21 @@ std::vector<lint::Diagnostic> TreePatternStoredAttrViolations(
 std::vector<lint::Diagnostic> ListPatternStoredAttrViolations(
     const StoreView& store, const List& list, const AnchoredListPattern& lp);
 
+/// The object types present in each collection a plan scans, filled on
+/// first use. One memo lives for one plan check (`LintPlan`,
+/// `ValidatePlanPatterns`), so each collection is walked at most once per
+/// call and no cached set outlives the database state it was read from.
+using CollectionTypeMemo = std::map<std::string, std::set<TypeId>>;
+
 /// Violations for one plan node's own parameters (pred / anchor / patterns),
 /// checked against the types of the collections scanned in its subtree.
 /// Does not recurse into children; unknown collections are skipped (the lint
-/// pass reports those separately as AQL012).
+/// pass reports those separately as AQL012). Collections are walked only
+/// when a parameter reads an attribute the schema declares computed
+/// somewhere, and only on their first use in `memo`; a plan walk passes
+/// the same memo to every node.
 std::vector<lint::Diagnostic> PlanNodeStoredAttrViolations(
-    const Database& db, const PlanRef& node);
+    const Database& db, const PlanRef& node, CollectionTypeMemo* memo);
 
 }  // namespace aqua
 

@@ -59,8 +59,33 @@ class LintPlanTest : public ::testing::Test {
     return pred.ok() ? *pred : nullptr;
   }
 
+  /// `lint.collection_walks` delta over one `Lint` call.
+  uint64_t CollectionWalks(const PlanRef& plan,
+                           std::vector<Diagnostic>* diags) {
+    obs::Registry::set_enabled(true);
+    obs::Snapshot before = obs::Registry::Global().Snap();
+    *diags = Lint(db_, plan);
+    return obs::Registry::Global()
+        .Snap()
+        .DeltaSince(before)
+        .CounterValue("lint.collection_walks");
+  }
+
   Database db_;
 };
+
+// The walk counts are compiled out with observability.
+#ifndef AQUA_OBS_DISABLED
+#define EXPECT_WALKS(expected, actual) EXPECT_EQ(actual, expected)
+#else
+#define EXPECT_WALKS(expected, actual) (void)(actual)
+#endif
+
+size_t CountCode(const std::vector<Diagnostic>& diags, DiagCode code) {
+  return static_cast<size_t>(
+      std::count_if(diags.begin(), diags.end(),
+                    [code](const Diagnostic& d) { return d.code == code; }));
+}
 
 TEST_F(LintPlanTest, CleanPlanHasNoDiagnostics) {
   auto plan = Q::TreeSubSelect(Q::ScanTree("docs"), TP("a(?*)"));
@@ -120,6 +145,57 @@ TEST_F(LintPlanTest, AQL011ComputedAttribute) {
     EXPECT_EQ(d.severity, Severity::kError);
     EXPECT_NE(d.message.find("word_count"), std::string::npos);
   }
+}
+
+TEST_F(LintPlanTest, AQL011StoredOnlyPlanWalksNoCollection) {
+  // The schema has a computed attribute, but no predicate reads it: the
+  // check ends at the schema and never touches the scanned collections.
+  std::vector<Diagnostic> diags;
+  uint64_t walks = CollectionWalks(
+      Q::TreeSubSelect(Q::TreeSelect(Q::ScanTree("docs"), P("title != \"c\"")),
+                       TP("{title == \"a\"}(?*)")),
+      &diags);
+  EXPECT_FALSE(Has(diags, DiagCode::kComputedAttribute));
+  EXPECT_WALKS(0u, walks);
+}
+
+TEST_F(LintPlanTest, AQL011WalksEachCollectionOncePerCall) {
+  // Three nodes over one scan; the select and the sub_select both read the
+  // computed attribute. Both are flagged, from a single collection walk.
+  std::vector<Diagnostic> diags;
+  uint64_t walks = CollectionWalks(
+      Q::TreeSubSelect(
+          Q::TreeSelect(Q::ScanTree("docs"), P("word_count > 1")),
+          TP("{word_count > 10}")),
+      &diags);
+  EXPECT_EQ(CountCode(diags, DiagCode::kComputedAttribute), 2u);
+  EXPECT_WALKS(1u, walks);
+}
+
+TEST_F(LintPlanTest, AQL011AttributeComputedOnlyInAbsentType) {
+  // `title` is computed in Digest, but `docs` holds only Docs, which store
+  // it. The schema cannot rule the read out; the collection walk does.
+  ASSERT_OK(db_.store()
+                .schema()
+                .RegisterType("Digest", {{"title", ValueType::kString,
+                                          /*stored=*/false}})
+                .status());
+  std::vector<Diagnostic> diags;
+  uint64_t walks = CollectionWalks(
+      Q::TreeSubSelect(Q::ScanTree("docs"), TP("{title == \"a\"}(?*)")),
+      &diags);
+  EXPECT_FALSE(Has(diags, DiagCode::kComputedAttribute));
+  EXPECT_WALKS(1u, walks);
+  // A Digest in the collection makes the same read a violation.
+  ASSERT_OK_AND_ASSIGN(Oid digest,
+                       db_.store().Create("Digest",
+                                          {{"title", Value::String("d")}}));
+  List mixed;
+  mixed.Append(NodePayload::Cell(digest));
+  ASSERT_OK(db_.RegisterList("mixed", std::move(mixed)));
+  EXPECT_TRUE(Has(Lint(db_, Q::ListSubSelect(Q::ScanList("mixed"),
+                                             LP("{title == \"a\"}"))),
+                  DiagCode::kComputedAttribute));
 }
 
 TEST_F(LintPlanTest, PatternSourceRendersCarets) {

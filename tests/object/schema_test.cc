@@ -42,6 +42,26 @@ TEST(SchemaTest, UnknownLookupsFail) {
   EXPECT_TRUE(schema.GetType("Nope").status().IsNotFound());
 }
 
+TEST(SchemaTest, ComputedAttrsAreRecorded) {
+  Schema schema;
+  ASSERT_TRUE(schema.RegisterType("Doc", {{"title", ValueType::kString, true},
+                                          {"words", ValueType::kInt, false}})
+                  .ok());
+  EXPECT_TRUE(schema.IsComputedAttr("words"));
+  EXPECT_FALSE(schema.IsComputedAttr("title"));
+  EXPECT_FALSE(schema.IsComputedAttr("missing"));
+  // Computed in any one type is enough, even where another stores it.
+  ASSERT_TRUE(schema.RegisterType("Digest", {{"title", ValueType::kString,
+                                              false}})
+                  .ok());
+  EXPECT_TRUE(schema.IsComputedAttr("title"));
+  // A rejected registration records nothing.
+  EXPECT_FALSE(schema.RegisterType("Bad", {{"x", ValueType::kInt, false},
+                                           {"x", ValueType::kInt, false}})
+                   .ok());
+  EXPECT_FALSE(schema.IsComputedAttr("x"));
+}
+
 TEST(TypeDefTest, AttrIndexAndHasAttr) {
   TypeDef def("T", {{"a", ValueType::kInt, true},
                     {"b", ValueType::kString, false}});

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/obs.h"
 #include "query/builder.h"
 #include "test_util.h"
 
@@ -47,10 +48,39 @@ class ValidateTest : public ::testing::Test {
     return lp.ok() ? *lp : AnchoredListPattern{};
   }
 
+  /// `lint.collection_walks` delta over `fn`.
+  template <typename Fn>
+  uint64_t CollectionWalks(Fn fn) {
+    obs::Registry::set_enabled(true);
+    obs::Snapshot before = obs::Registry::Global().Snap();
+    fn();
+    return obs::Registry::Global()
+        .Snap()
+        .DeltaSince(before)
+        .CounterValue("lint.collection_walks");
+  }
+
+  /// Registers `Digest`, which computes `score` and stores nothing. No
+  /// collection holds a Digest, so reading `score` is never a violation.
+  void RegisterAbsentComputedType() {
+    ASSERT_OK(db_.store()
+                  .schema()
+                  .RegisterType("Digest", {{"score", ValueType::kInt,
+                                            /*stored=*/false}})
+                  .status());
+  }
+
   Database db_;
   Tree tree_;
   List list_;
 };
+
+// The walk counts are compiled out with observability.
+#ifndef AQUA_OBS_DISABLED
+#define EXPECT_WALKS(expected, actual) EXPECT_EQ(actual, expected)
+#else
+#define EXPECT_WALKS(expected, actual) (void)(actual)
+#endif
 
 TEST_F(ValidateTest, StoredAttributePasses) {
   EXPECT_OK(ValidateTreePatternAgainst(db_.store(), tree_,
@@ -106,6 +136,58 @@ TEST_F(ValidateTest, PlanValidationWalksScans) {
   EXPECT_TRUE(ValidatePlanPatterns(db_, bad_list).IsInvalidArgument());
 
   EXPECT_TRUE(ValidatePlanPatterns(db_, nullptr).IsInvalidArgument());
+}
+
+TEST_F(ValidateTest, StoredOnlyChecksWalkNoCollection) {
+  auto plan = Q::TreeSubSelect(
+      Q::TreeSelect(Q::ScanTree("docs"),
+                    Predicate::AttrEquals("title", Value::String("b"))),
+      TP("{title == \"a\"}(?*)"));
+  EXPECT_WALKS(0u, CollectionWalks([&] {
+                 EXPECT_OK(ValidatePlanPatterns(db_, plan));
+                 EXPECT_OK(ValidateTreePatternAgainst(
+                     db_.store(), tree_, TP("{title == \"a\"}(?*)")));
+                 EXPECT_OK(ValidateListPatternAgainst(
+                     db_.store(), list_, LP("{title == \"a\"} ?")));
+               }));
+}
+
+TEST_F(ValidateTest, PlanWalksEachCollectionOnce) {
+  // The root reads `score`, computed only in the absent Digest type, so
+  // the walk runs and clears it; the select below then reads the computed
+  // `word_count` and fails from the same walk's memoized type set.
+  RegisterAbsentComputedType();
+  auto plan = Q::TreeSubSelect(
+      Q::TreeSelect(Q::ScanTree("docs"),
+                    Predicate::Compare("word_count", CmpOp::kGt,
+                                       Value::Int(0))),
+      TP("{score > 1}"));
+  EXPECT_WALKS(1u, CollectionWalks([&] {
+                 Status st = ValidatePlanPatterns(db_, plan);
+                 EXPECT_TRUE(st.IsInvalidArgument());
+                 EXPECT_NE(st.message().find("word_count"), std::string::npos);
+               }));
+}
+
+TEST_F(ValidateTest, AttributeComputedOnlyInAbsentTypePasses) {
+  RegisterAbsentComputedType();
+  EXPECT_WALKS(3u, CollectionWalks([&] {
+                 EXPECT_OK(ValidatePlanPatterns(
+                     db_, Q::TreeSubSelect(Q::ScanTree("docs"),
+                                           TP("{score > 1}"))));
+                 EXPECT_OK(ValidateTreePatternAgainst(db_.store(), tree_,
+                                                      TP("{score > 1}")));
+                 EXPECT_OK(ValidateListPatternAgainst(db_.store(), list_,
+                                                      LP("{score > 1}")));
+               }));
+}
+
+TEST_F(ValidateTest, UnknownCollectionFailsWhenNoWalkIsNeeded) {
+  // Needing no walk does not hide a missing collection.
+  EXPECT_TRUE(ValidatePlanPatterns(
+                  db_, Q::TreeSubSelect(Q::ScanTree("missing"),
+                                        TP("{title == \"a\"}")))
+                  .IsNotFound());
 }
 
 TEST_F(ValidateTest, NullPatternsRejected) {

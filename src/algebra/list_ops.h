@@ -1,6 +1,7 @@
 #ifndef AQUA_ALGEBRA_LIST_OPS_H_
 #define AQUA_ALGEBRA_LIST_OPS_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -77,24 +78,32 @@ Result<Datum> ListSubSelect(const StoreView& store, const List& list,
                             const AnchoredListPattern& lp,
                             const ListSplitOptions& opts = {});
 
-class Nfa;      // pattern/nfa.h
-class LazyDfa;  // pattern/dfa.h
+class MultiNfa;         // pattern/multi.h
+class LazyMultiDfa;     // pattern/multi.h
+struct AlphabetScratch;  // pattern/alphabet.h
 
-/// Caller-owned existence prefilter for `ListSubSelectPrefiltered`: a
-/// search-compiled NFA for `lp.body`, optionally fronted by a lazily
-/// determinized DFA over the same NFA. Compiling the automaton once and
-/// reusing it across every list of a corpus (and warming one DFA per
-/// worker) is what makes the prefilter pay off inside a fan-out — the
-/// plain `ListSubSelect` recompiles it per call.
+/// Caller-owned existence prefilter for `ListSubSelectPrefiltered`: the
+/// search automaton `MultiNfa::CompileSearch({lp.body})` (one pattern, so
+/// bit 0 is the answer), optionally fronted by a lazily determinized DFA
+/// over it, plus the alphabet scratch the scan evaluates into. Compiling
+/// the automaton once and reusing it across every list of a corpus (and
+/// warming one DFA and one scratch per worker) is what makes the prefilter
+/// pay off inside a fan-out — the plain `ListSubSelect` compiles it per
+/// call.
 struct ListPrefilter {
-  const Nfa* nfa = nullptr;  ///< null disables the prefilter entirely
-  LazyDfa* dfa = nullptr;    ///< optional; must be built over `nfa`
+  const MultiNfa* nfa = nullptr;      ///< null disables the prefilter
+  LazyMultiDfa* dfa = nullptr;        ///< optional; built over `nfa`
+  AlphabetScratch* scratch = nullptr;  ///< required when `nfa` is set
+
+  /// Bitset of the automaton's patterns that match somewhere in `list`
+  /// (through the DFA when present); all ones when disabled.
+  uint64_t MatchAll(const StoreView& store, const List& list) const;
 };
 
 /// `ListSubSelect` with the prefilter automaton supplied by the caller
 /// instead of compiled per call. `pre.nfa == nullptr` (e.g. for patterns
-/// the NFA cannot compile) skips the prefilter and goes straight to the
-/// backtracking matcher, exactly like the plain overload.
+/// the automaton cannot compile) skips the prefilter and goes straight to
+/// the backtracking matcher, exactly like the plain overload.
 Result<Datum> ListSubSelectPrefiltered(const StoreView& store,
                                        const List& list,
                                        const AnchoredListPattern& lp,

@@ -16,9 +16,7 @@
 #include "lint/effects.h"
 #include "object/store_txn.h"
 #include "obs/metrics.h"
-#include "pattern/dfa.h"
 #include "pattern/multi.h"
-#include "pattern/nfa.h"
 
 namespace aqua::exec {
 
@@ -300,48 +298,76 @@ class CertifiedApplyOp : public FanOutOp {
   std::vector<ItemDelta> deltas_;
 };
 
-/// List sub_select with the NFA existence prefilter hoisted into
-/// `Prepare`: the search NFA is compiled once per Execute (the interpreter
-/// recompiled it per list) and shared read-only across workers
-/// (`Nfa::ExistsMatch` is const). Each worker slot additionally warms its
-/// own `LazyDfa` over that NFA — the DFA mutates its transition cache
-/// while matching, so instances are per-worker rather than shared, and the
-/// cache amortizes across all the lists one worker scans.
+/// The list existence prefilter a list operator hoists into `Prepare`: one
+/// search automaton over the operator's pattern bodies, compiled once per
+/// Execute and shared read-only across workers, plus per-worker-slot
+/// alphabet scratch and lazy DFA — both mutate while matching, so they are
+/// per-worker rather than shared, and the DFA cache amortizes across all
+/// the lists one worker scans. Single-plan list sub_select uses it at N=1,
+/// the batched list group at N = group size.
+class ListSearchAutomaton {
+ public:
+  ListSearchAutomaton() = default;
+  // The DFAs point into `nfa_`.
+  ListSearchAutomaton(const ListSearchAutomaton&) = delete;
+  ListSearchAutomaton& operator=(const ListSearchAutomaton&) = delete;
+
+  /// A body the automaton cannot compile (tree atoms) leaves the prefilter
+  /// off; every pattern then runs its matcher, which validates it.
+  void Prepare(const std::vector<ListPatternRef>& bodies, size_t threads) {
+    auto nfa = MultiNfa::CompileSearch(bodies);
+    if (!nfa.ok()) return;
+    nfa_.emplace(std::move(*nfa));
+    AQUA_OBS_COUNT("pattern.alphabet_preds", nfa_->alphabet().size());
+    slots_.emplace(std::max<size_t>(threads, 1));
+    for (size_t s = 0; s < slots_->size(); ++s) {
+      auto dfa = LazyMultiDfa::Make(&*nfa_);
+      if (dfa.ok()) slots_->at(s).dfa.emplace(std::move(*dfa));
+    }
+  }
+
+  /// The prefilter of one worker slot; disabled when compilation failed.
+  ListPrefilter ForWorker(size_t worker) {
+    ListPrefilter pre;
+    if (!nfa_.has_value()) return pre;
+    Slot& slot = slots_->at(worker);
+    pre.nfa = &*nfa_;
+    pre.scratch = &slot.scratch;
+    if (slot.dfa.has_value()) pre.dfa = &*slot.dfa;
+    return pre;
+  }
+
+ private:
+  struct Slot {
+    AlphabetScratch scratch;
+    std::optional<LazyMultiDfa> dfa;  // unset past the DFA's 58 predicates
+  };
+  std::optional<MultiNfa> nfa_;
+  std::optional<WorkerLocal<Slot>> slots_;
+};
+
+/// List sub_select with the existence prefilter hoisted into `Prepare`
+/// (the interpreter compiles it per list).
 class ListSubSelectOp : public FanOutOp {
  public:
   using FanOutOp::FanOutOp;
 
   Status Prepare(ExecContext& ctx) override {
     AQUA_RETURN_IF_ERROR(FanOutOp::Prepare(ctx));
-    auto nfa = Nfa::CompileSearch(plan_->lpattern.body);
-    if (!nfa.ok()) return Status::OK();  // matcher validates the pattern
-    nfa_.emplace(std::move(*nfa));
-    dfas_.emplace(std::max<size_t>(ctx.threads, 1));
-    for (size_t s = 0; s < dfas_->size(); ++s) {
-      auto dfa = LazyDfa::Make(&*nfa_);
-      if (dfa.ok()) dfas_->at(s).emplace(std::move(*dfa));
-    }
+    automaton_.Prepare({plan_->lpattern.body}, ctx.threads);
     return Status::OK();
   }
 
  protected:
   Result<Datum> RunOnItem(ExecContext& ctx, const Datum& item, size_t,
                           size_t worker) override {
-    ListPrefilter pre;
-    if (nfa_.has_value()) {
-      pre.nfa = &*nfa_;
-      if (dfas_.has_value() && worker < dfas_->size() &&
-          dfas_->at(worker).has_value()) {
-        pre.dfa = &*dfas_->at(worker);
-      }
-    }
     return ListSubSelectPrefiltered(ctx.view, item.list(), plan_->lpattern,
-                                    plan_->lsplit_opts, pre);
+                                    plan_->lsplit_opts,
+                                    automaton_.ForWorker(worker));
   }
 
  private:
-  std::optional<Nfa> nfa_;
-  std::optional<WorkerLocal<std::optional<LazyDfa>>> dfas_;
+  ListSearchAutomaton automaton_;
 };
 
 constexpr char kTreeSetErr[] = "tree operator over a set containing a non-tree";
@@ -724,19 +750,7 @@ class BatchedListMatchOp : public BatchedMatchOpBase {
     std::vector<ListPatternRef> bodies;
     bodies.reserve(plans_.size());
     for (const PlanRef& p : plans_) bodies.push_back(p->lpattern.body);
-    auto multi = MultiNfa::CompileSearch(bodies);
-    // A pattern the NFA cannot compile (tree atoms) disables the probe for
-    // the whole group; every pattern then runs its matcher on every item,
-    // which is what the serial path does without a prefilter.
-    if (!multi.ok()) return Status::OK();
-    multi_.emplace(std::move(*multi));
-    size_t workers = std::max<size_t>(ctx.threads, 1);
-    scratch_.emplace(workers);
-    dfas_.emplace(workers);
-    for (size_t s = 0; s < workers; ++s) {
-      auto dfa = LazyMultiDfa::Make(&*multi_);
-      if (dfa.ok()) dfas_->at(s).emplace(std::move(*dfa));
-    }
+    automaton_.Prepare(bodies, ctx.threads);
     return Status::OK();
   }
 
@@ -746,13 +760,8 @@ class BatchedListMatchOp : public BatchedMatchOpBase {
   void RunItem(ExecContext& ctx, const Datum& item, size_t worker,
                std::vector<Result<Datum>>* out) override {
     const List& list = item.list();
-    uint64_t matched = ~0ULL;
-    if (multi_.has_value()) {
-      AlphabetScratch& scratch = scratch_->at(worker);
-      std::optional<LazyMultiDfa>& dfa = dfas_->at(worker);
-      matched = dfa.has_value() ? dfa->MatchAll(ctx.view, list, &scratch)
-                                : multi_->MatchAll(ctx.view, list, &scratch);
-    }
+    const uint64_t matched =
+        automaton_.ForWorker(worker).MatchAll(ctx.view, list);
     for (size_t j = 0; j < plans_.size(); ++j) {
       if ((matched >> j) & 1) {
         (*out)[j] = ListSubSelectPrefiltered(ctx.view, list,
@@ -760,15 +769,15 @@ class BatchedListMatchOp : public BatchedMatchOpBase {
                                              plans_[j]->lsplit_opts,
                                              ListPrefilter{});
       } else {
+        // The same rejection a standalone execution of plan j counts.
+        AQUA_OBS_COUNT("pattern.nfa_prefilter_rejects", 1);
         (*out)[j] = Datum::Set({});
       }
     }
   }
 
  private:
-  std::optional<MultiNfa> multi_;
-  std::optional<WorkerLocal<AlphabetScratch>> scratch_;
-  std::optional<WorkerLocal<std::optional<LazyMultiDfa>>> dfas_;
+  ListSearchAutomaton automaton_;
 };
 
 /// One necessary condition on any match of a tree pattern: some node of
@@ -849,6 +858,7 @@ class BatchedTreeMatchOp : public BatchedMatchOpBase {
       if (!clauses_[j].unconstrained) needed_ |= clauses_[j].mask;
     }
     alphabet_.Seal();
+    AQUA_OBS_COUNT("pattern.alphabet_preds", alphabet_.size());
     gate_enabled_ = needed_ != 0 && alphabet_.size() <= 64;
     if (gate_enabled_) {
       scratch_.emplace(std::max<size_t>(ctx.threads, 1));

@@ -4,28 +4,28 @@
 #include <vector>
 
 #include "lint/interval.h"
-#include "pattern/nfa.h"
+#include "pattern/multi.h"
 
 namespace aqua::lint {
 
 namespace {
 
-using Transition = Nfa::Transition;
+using Transition = MultiNfa::Transition;
 
 /// Whether an edge can ever be taken by any element.
 bool EdgeLive(const Transition& t, const std::vector<bool>& pred_sat) {
   if (t.kind == Transition::Kind::kPred) return pred_sat[t.index];
-  return true;  // ε, `?`, and point edges are always takeable.
+  return true;  // ε, `?`, point, and search-loop edges are always takeable.
 }
 
-/// BFS over live edges from `from`, following `states[s][i].target` (or the
-/// reversed adjacency when provided).
+/// DFS over live edges of `adj` (forward or reversed adjacency) from every
+/// state in `from`.
 std::vector<bool> Reach(
-    size_t num_states, uint32_t from,
+    size_t num_states, const std::vector<uint32_t>& from,
     const std::vector<std::vector<std::pair<uint32_t, bool>>>& adj) {
   std::vector<bool> seen(num_states, false);
-  std::vector<uint32_t> stack = {from};
-  seen[from] = true;
+  std::vector<uint32_t> stack = from;
+  for (uint32_t s : from) seen[s] = true;
   while (!stack.empty()) {
     uint32_t s = stack.back();
     stack.pop_back();
@@ -40,7 +40,7 @@ std::vector<bool> Reach(
 
 /// DFS 3-coloring over ε-edges restricted to `live` states; true when a
 /// back edge closes an ε-cycle.
-bool HasEpsCycle(const Nfa& nfa, const std::vector<bool>& live) {
+bool HasEpsCycle(const MultiNfa& nfa, const std::vector<bool>& live) {
   enum : uint8_t { kWhite, kGray, kBlack };
   std::vector<uint8_t> color(nfa.num_states(), kWhite);
   // Iterative DFS: (state, next edge index) frames.
@@ -73,21 +73,26 @@ bool HasEpsCycle(const Nfa& nfa, const std::vector<bool>& live) {
 AutomatonFacts AnalyzeListPatternAutomaton(const ListPatternRef& body) {
   AutomatonFacts facts;
   if (body == nullptr) return facts;
-  Result<Nfa> compiled = Nfa::Compile(body);
+  // The N=1 search automaton: its `?*` search loop is a consuming self-loop
+  // plus one ε-edge into the pattern, which adds no accepting state, no
+  // ε-path to one, and no ε-cycle, so the three facts are the pattern's.
+  Result<MultiNfa> compiled = MultiNfa::CompileSearch({body});
   if (!compiled.ok()) return facts;
-  const Nfa& nfa = *compiled;
+  const MultiNfa& nfa = *compiled;
   facts.compiled = true;
 
-  std::vector<bool> pred_sat(nfa.num_predicates(), true);
-  for (size_t i = 0; i < nfa.num_predicates(); ++i) {
-    pred_sat[i] =
-        AnalyzePredicateSat(nfa.preds()[i]) != PredSat::kUnsatisfiable;
+  const std::vector<PredicateRef>& preds = nfa.alphabet().preds();
+  std::vector<bool> pred_sat(preds.size(), true);
+  for (size_t i = 0; i < preds.size(); ++i) {
+    pred_sat[i] = AnalyzePredicateSat(preds[i]) != PredSat::kUnsatisfiable;
   }
 
   // Forward and reverse adjacency with per-edge liveness.
   std::vector<std::vector<std::pair<uint32_t, bool>>> fwd(nfa.num_states());
   std::vector<std::vector<std::pair<uint32_t, bool>>> rev(nfa.num_states());
+  std::vector<uint32_t> accepting;
   for (uint32_t s = 0; s < nfa.num_states(); ++s) {
+    if (nfa.accept_masks()[s] & 1) accepting.push_back(s);
     for (const Transition& t : nfa.states()[s]) {
       bool live = EdgeLive(t, pred_sat);
       fwd[s].emplace_back(t.target, live);
@@ -95,14 +100,16 @@ AutomatonFacts AnalyzeListPatternAutomaton(const ListPatternRef& body) {
     }
   }
 
-  std::vector<bool> from_start = Reach(nfa.num_states(), nfa.start(), fwd);
-  std::vector<bool> to_accept = Reach(nfa.num_states(), nfa.accept(), rev);
-  facts.language_empty = !from_start[nfa.accept()];
-
+  std::vector<bool> from_start = Reach(nfa.num_states(), {nfa.start()}, fwd);
+  std::vector<bool> to_accept = Reach(nfa.num_states(), accepting, rev);
   std::vector<bool> eps(nfa.num_states(), false);
   eps[nfa.start()] = true;
   nfa.EpsClosure(&eps);
-  facts.accepts_empty = eps[nfa.accept()];
+  facts.language_empty = true;
+  for (uint32_t s : accepting) {
+    if (from_start[s]) facts.language_empty = false;
+    if (eps[s]) facts.accepts_empty = true;
+  }
 
   std::vector<bool> live(nfa.num_states(), false);
   for (uint32_t s = 0; s < nfa.num_states(); ++s) {

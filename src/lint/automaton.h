@@ -5,9 +5,10 @@
 
 namespace aqua::lint {
 
-/// Facts derived from the Thompson NFA of a list pattern, with predicate
-/// transitions weighted by `AnalyzePredicateSat`: an edge guarded by an
-/// unsatisfiable predicate is dead.
+/// Facts derived from the single-pattern search automaton of a list pattern
+/// (`MultiNfa::CompileSearch({body})`), with predicate transitions weighted
+/// by `AnalyzePredicateSat`: an edge guarded by an unsatisfiable predicate
+/// is dead.
 struct AutomatonFacts {
   /// False when the pattern could not be compiled (it contains tree-pattern
   /// atoms); the other fields are then meaningless.

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "object/schema.h"
-#include "obs/metrics.h"
 
 namespace aqua {
 
@@ -154,7 +153,6 @@ void PredicateAlphabet::Seal() {
     CompileProgram(*preds_[i], &progs_[i]);
   }
   sealed_ = true;
-  AQUA_OBS_COUNT("pattern.alphabet_preds", preds_.size());
 }
 
 void PredicateAlphabet::Gather(const StoreView& store, const Oid* oids,

@@ -25,9 +25,9 @@ bool PredicateStructuralEquals(const Predicate& a, const Predicate& b);
 /// Canonicalizes structurally equal predicate subtrees to one shared
 /// `PredicateRef`. Interning works bottom-up, so a duplicated subtree deep
 /// inside two different conjunctions still collapses to one node. Used by
-/// the pattern simplifier (so downstream pointer-keyed caches — the NFA's
-/// per-pointer predicate slots, lint's interval analysis — see each
-/// distinct predicate once) and by `PredicateAlphabet` extraction.
+/// the pattern simplifier (so downstream pointer-keyed caches such as
+/// lint's interval analysis see each distinct predicate once) and by
+/// `PredicateAlphabet` extraction.
 class PredicateInterner {
  public:
   /// Returns the canonical node for `pred` (the first structurally equal
@@ -43,7 +43,7 @@ class PredicateInterner {
 };
 
 /// Reusable buffers for one columnar alphabet evaluation. Matching mutates
-/// the scratch, so instances are per-worker (mirroring `LazyDfa`); the
+/// the scratch, so instances are per-worker (mirroring `LazyMultiDfa`); the
 /// buffers and the attribute-position cache then amortize across all the
 /// morsels one worker scans.
 struct AlphabetScratch {
@@ -102,8 +102,7 @@ class PredicateAlphabet {
   uint32_t Intern(const PredicateRef& pred);
 
   /// Compiles the columnar kernels: distinct attribute columns, distinct
-  /// leaf comparisons, and one postfix combine program per slot. Counts
-  /// the final slot count in `pattern.alphabet_preds`.
+  /// leaf comparisons, and one postfix combine program per slot.
   void Seal();
 
   bool sealed() const { return sealed_; }

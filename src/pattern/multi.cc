@@ -38,6 +38,53 @@ bool IsSimpleAtom(const ListPattern* p) {
   }
 }
 
+/// Drives one left-to-right scan of `list` in chunks that grow
+/// geometrically from 16 to 256 elements: each chunk's cells are evaluated
+/// against the whole alphabet in one columnar pass, then `step(element,
+/// sig)` runs per element until it returns false. `sig` points at a cell's
+/// packed signature (an all-zero word when the alphabet is empty) and is
+/// null for a point. Small first chunks keep an early match from
+/// paying for 256 elements of evaluation; full-size later chunks keep long
+/// scans amortized. Counts the rows evaluated in `exec.batch_scan_rows`
+/// and returns the number of elements stepped.
+template <typename Step>
+size_t ScanChunks(const PredicateAlphabet& alphabet, const StoreView& store,
+                  const List& list, AlphabetScratch* scratch, Step step) {
+  constexpr size_t kFirstChunk = 16;
+  constexpr size_t kMaxChunk = 256;
+  static constexpr uint64_t kNoPreds = 0;
+  const size_t stride = alphabet.sig_stride();
+  size_t evaluated = 0;
+  size_t stepped = 0;
+  bool more = true;
+  for (size_t base = 0, chunk = kFirstChunk; more && base < list.size();
+       base += chunk, chunk = std::min(2 * chunk, kMaxChunk)) {
+    const size_t end = std::min(base + chunk, list.size());
+    scratch->oids.clear();
+    for (size_t i = base; i < end; ++i) {
+      const NodePayload& e = list.at(i);
+      if (e.is_cell()) scratch->oids.push_back(e.oid());
+    }
+    alphabet.EvalBatch(store, scratch->oids.data(), scratch->oids.size(),
+                       scratch);
+    evaluated += end - base;
+    size_t cell_pos = 0;
+    for (size_t i = base; more && i < end; ++i) {
+      const NodePayload& e = list.at(i);
+      const uint64_t* sig = nullptr;
+      if (e.is_cell()) {
+        sig = stride > 0 ? scratch->sigs.data() + cell_pos * stride
+                         : &kNoPreds;
+        ++cell_pos;
+      }
+      more = step(e, sig);
+      ++stepped;
+    }
+  }
+  if (evaluated > 0) AQUA_OBS_COUNT("exec.batch_scan_rows", evaluated);
+  return stepped;
+}
+
 }  // namespace
 
 uint32_t MultiNfa::NewState() {
@@ -208,10 +255,11 @@ Result<MultiNfa> MultiNfa::CompileSearch(
   }
   MultiNfa nfa;
   // One shared search loop feeding one shared trie root: matches may begin
-  // at any position, discovered in a single left-to-right pass.
+  // at any position — after a concatenation point too, so the loop consumes
+  // points as well as cells — discovered in a single left-to-right pass.
   uint32_t loop = nfa.NewState();
   uint32_t root = nfa.NewState();
-  nfa.AddEdge(loop, {Transition::Kind::kAnyCell, loop, 0});
+  nfa.AddEdge(loop, {Transition::Kind::kAnyElement, loop, 0});
   nfa.AddEdge(loop, {Transition::Kind::kEpsilon, root, 0});
   nfa.start_ = loop;
   for (size_t j = 0; j < patterns.size(); ++j) {
@@ -268,6 +316,7 @@ std::vector<bool> MultiNfa::StepCell(const std::vector<bool>& from,
           }
           break;
         case Transition::Kind::kAnyCell:
+        case Transition::Kind::kAnyElement:
           next[t.target] = true;
           break;
       }
@@ -283,7 +332,8 @@ std::vector<bool> MultiNfa::StepPoint(const std::vector<bool>& from,
   for (uint32_t s = 0; s < from.size(); ++s) {
     if (!from[s]) continue;
     for (const Transition& t : states_[s]) {
-      if (t.kind == Transition::Kind::kPoint && t.index == label_index) {
+      if ((t.kind == Transition::Kind::kPoint && t.index == label_index) ||
+          t.kind == Transition::Kind::kAnyElement) {
         next[t.target] = true;
       }
     }
@@ -294,40 +344,21 @@ std::vector<bool> MultiNfa::StepPoint(const std::vector<bool>& from,
 
 uint64_t MultiNfa::MatchAll(const StoreView& store, const List& list,
                             AlphabetScratch* scratch) const {
-  uint64_t matched = 0;
   std::vector<bool> cur(states_.size(), false);
   cur[start_] = true;
   EpsClosure(&cur);
-  matched |= AcceptMask(cur);
+  uint64_t matched = AcceptMask(cur);
+  if (matched == full_mask_) return matched;
 
-  const size_t stride = alphabet_.sig_stride();
-  size_t rows = 0;
-  constexpr size_t kChunk = 256;
-  for (size_t base = 0; base < list.size() && matched != full_mask_;
-       base += kChunk) {
-    const size_t end = std::min(base + kChunk, list.size());
-    scratch->oids.clear();
-    for (size_t i = base; i < end; ++i) {
-      const NodePayload& e = list.at(i);
-      if (e.is_cell()) scratch->oids.push_back(e.oid());
-    }
-    alphabet_.EvalBatch(store, scratch->oids.data(), scratch->oids.size(),
-                        scratch);
-    rows += end - base;
-    size_t cell_pos = 0;
-    for (size_t i = base; i < end; ++i) {
-      const NodePayload& e = list.at(i);
-      if (e.is_cell()) {
-        cur = StepCell(cur, scratch->sigs.data() + cell_pos * stride);
-        ++cell_pos;
-      } else {
-        cur = StepPoint(cur, LabelIndex(e.label()));
-      }
-      matched |= AcceptMask(cur);
-      if (matched == full_mask_) break;
-    }
-  }
-  if (rows > 0) AQUA_OBS_COUNT("exec.batch_scan_rows", rows);
+  const size_t steps = ScanChunks(
+      alphabet_, store, list, scratch,
+      [&](const NodePayload& e, const uint64_t* sig) {
+        cur = sig != nullptr ? StepCell(cur, sig)
+                             : StepPoint(cur, LabelIndex(e.label()));
+        matched |= AcceptMask(cur);
+        return matched != full_mask_;
+      });
+  if (steps > 0) AQUA_OBS_COUNT("pattern.nfa_steps", steps);
   return matched;
 }
 
@@ -383,43 +414,26 @@ uint64_t LazyMultiDfa::MatchAll(const StoreView& store, const List& list,
                                 AlphabetScratch* scratch) {
   uint64_t matched = state_accept_masks_[start_state_];
   const uint64_t full = nfa_->full_mask();
-  const PredicateAlphabet& alphabet = nfa_->alphabet();
+  if (matched == full) return matched;
+
+  const uint64_t hits0 = hits_;
+  const uint64_t misses0 = misses_;
   uint32_t state = start_state_;
-  size_t rows = 0;
-  constexpr size_t kChunk = 256;
-  for (size_t base = 0; base < list.size() && matched != full;
-       base += kChunk) {
-    const size_t end = std::min(base + kChunk, list.size());
-    scratch->oids.clear();
-    for (size_t i = base; i < end; ++i) {
-      const NodePayload& e = list.at(i);
-      if (e.is_cell()) scratch->oids.push_back(e.oid());
-    }
-    alphabet.EvalBatch(store, scratch->oids.data(), scratch->oids.size(),
-                       scratch);
-    rows += end - base;
-    size_t cell_pos = 0;
-    for (size_t i = base; i < end; ++i) {
-      const NodePayload& e = list.at(i);
-      if (e.is_cell()) {
-        state = StepState(state, scratch->sigs[cell_pos], true, 0);
-        ++cell_pos;
-      } else {
-        uint32_t label = MultiNfa::kNoLabel;
-        const std::vector<std::string>& labels = nfa_->point_labels();
-        for (size_t l = 0; l < labels.size(); ++l) {
-          if (labels[l] == e.label()) {
-            label = static_cast<uint32_t>(l);
-            break;
-          }
-        }
-        state = StepState(state, 0, false, label);
-      }
-      matched |= state_accept_masks_[state];
-      if (matched == full) break;
-    }
+  ScanChunks(nfa_->alphabet(), store, list, scratch,
+             [&](const NodePayload& e, const uint64_t* sig) {
+               state = sig != nullptr
+                           ? StepState(state, *sig, true, 0)
+                           : StepState(state, 0, false,
+                                       nfa_->LabelIndex(e.label()));
+               matched |= state_accept_masks_[state];
+               return matched != full;
+             });
+  if (hits_ > hits0) AQUA_OBS_COUNT("pattern.dfa_hits", hits_ - hits0);
+  if (misses_ > misses0) {
+    AQUA_OBS_COUNT("pattern.dfa_misses", misses_ - misses0);
+    // Each miss fell back to one NFA simulation step.
+    AQUA_OBS_COUNT("pattern.nfa_steps", misses_ - misses0);
   }
-  if (rows > 0) AQUA_OBS_COUNT("exec.batch_scan_rows", rows);
   return matched;
 }
 

@@ -13,23 +13,31 @@
 
 namespace aqua {
 
-/// A merged product automaton answering up to 64 list patterns in one scan.
+/// The list-pattern existence automaton: a merged product automaton
+/// answering up to 64 list patterns in one scan. A single pattern is the
+/// case N=1 — every list existence prefilter in the system runs on it.
 ///
 /// Compilation interns every pattern predicate into one shared
 /// `PredicateAlphabet` (structural dedup, so `{citizen=="Brazil"}` appearing
 /// in five patterns is one slot), trie-merges the patterns' common leading
 /// atoms into shared states, and Thompson-compiles each remainder. Every
 /// state carries an *accept mask*: bit j set means pattern j's accept state
-/// is reachable here. Matching is the search-mode existence scan
-/// (`Nfa::ExistsMatch` over `CompileSearch`) run once for all patterns:
-/// element facts come from one columnar `PredicateAlphabet::EvalBatch` per
-/// chunk instead of N× per-pattern `Predicate::Eval` store walks, and the
-/// scan OR-accumulates the accept masks it touches, early-exiting once every
-/// pattern has matched.
+/// is reachable here. Matching is a single left-to-right search-mode scan
+/// (the patterns sit behind one shared `?*` loop that also skips
+/// concatenation points, so a match may begin anywhere): element facts come
+/// from one columnar `PredicateAlphabet::EvalBatch` per chunk, and the scan
+/// OR-accumulates the accept masks it touches, early-exiting once every
+/// pattern has matched. Chunks grow geometrically (16, 32, ... 256
+/// elements), so a scan that stops early evaluates little beyond the match.
+///
+/// Prune markers do not change the recognized language (§3.4 separates
+/// matching from result shaping), and anchors only narrow it, so a clear
+/// bit j proves pattern j has no match — the soundness argument every
+/// prefilter relies on.
 ///
 /// Thread model: a compiled MultiNfa is immutable and freely shared; the
 /// mutable per-call buffers live in the caller-provided `AlphabetScratch`
-/// (one per worker, like `LazyDfa`).
+/// (one per worker, like `LazyMultiDfa`).
 class MultiNfa {
  public:
   /// Compiles `?* merged(patterns)` for single-pass existence search.
@@ -38,8 +46,9 @@ class MultiNfa {
       const std::vector<ListPatternRef>& patterns);
 
   /// Returns the bitset of patterns with some matching sublist in `list`
-  /// (bit j = patterns[j]); the answer for each bit is exactly
-  /// `Nfa::CompileSearch(patterns[j]) -> ExistsMatch(store, list)`.
+  /// (bit j = patterns[j]): exactly the unanchored existence answer of the
+  /// backtracking `ListMatcher` for each pattern. Counts the elements it
+  /// steps in `pattern.nfa_steps`.
   uint64_t MatchAll(const StoreView& store, const List& list,
                     AlphabetScratch* scratch) const;
 
@@ -53,7 +62,9 @@ class MultiNfa {
   size_t trie_shared_states() const { return trie_shared_states_; }
 
   struct Transition {
-    enum class Kind { kEpsilon, kPred, kAnyCell, kPoint };
+    /// `kAnyElement` consumes a cell or a point; only the search loop has
+    /// it (pattern `?` sees cells only).
+    enum class Kind { kEpsilon, kPred, kAnyCell, kPoint, kAnyElement };
     Kind kind;
     uint32_t target;
     uint32_t index;  // alphabet slot (kPred) or label index (kPoint)
@@ -78,6 +89,8 @@ class MultiNfa {
   /// `sig` (sig_stride words), or over a point with `label_index`
   /// (`kNoLabel` for an unknown label). Closure included.
   static constexpr uint32_t kNoLabel = static_cast<uint32_t>(-1);
+  /// Index of a point label in `point_labels()`, or `kNoLabel`.
+  uint32_t LabelIndex(const std::string& label) const;
   std::vector<bool> StepCell(const std::vector<bool>& from,
                              const uint64_t* sig) const;
   std::vector<bool> StepPoint(const std::vector<bool>& from,
@@ -95,7 +108,6 @@ class MultiNfa {
   Result<Frag> Build(const ListPattern& p);
   Status AddPattern(const ListPatternRef& pattern, uint32_t index,
                     uint32_t trie_root);
-  uint32_t LabelIndex(const std::string& label) const;
 
   std::vector<std::vector<Transition>> states_;
   std::vector<uint64_t> accept_masks_;
@@ -111,21 +123,27 @@ class MultiNfa {
   std::map<std::pair<uint32_t, uint64_t>, uint32_t> trie_;
 };
 
-/// Lazily determinized product automaton over a `MultiNfa`, mirroring
-/// `LazyDfa`: each distinct element signature seen at a DFA state
+/// Lazily determinized automaton over a `MultiNfa`.
+///
+/// The input alphabet of a list pattern is *symbolic* (predicate outcomes),
+/// so ahead-of-time determinization would enumerate predicate minterms.
+/// Instead each distinct element signature seen at a DFA state
 /// materializes one cached transition, and each DFA state caches the OR of
 /// its NFA states' accept masks, so a hot scan approaches one table lookup
 /// plus one mask OR per element.
 ///
 /// Thread model: matching MUTATES the caches — per-worker instances only,
-/// over one shared const `MultiNfa`.
+/// over one shared const `MultiNfa` (see `exec/compile.cc`); the cache then
+/// amortizes across all the lists one worker scans.
 class LazyMultiDfa {
  public:
   /// `nfa` must outlive the DFA. At most 58 alphabet predicates are
-  /// supported (signatures pack into 64 bits, like `LazyDfa`).
+  /// supported (signatures pack into 64 bits).
   static Result<LazyMultiDfa> Make(const MultiNfa* nfa);
 
-  /// Same contract as `MultiNfa::MatchAll`.
+  /// Same contract as `MultiNfa::MatchAll`. Counts its cache hits and
+  /// misses in `pattern.dfa_hits` / `pattern.dfa_misses`, and each miss —
+  /// one fallback NFA step — in `pattern.nfa_steps`.
   uint64_t MatchAll(const StoreView& store, const List& list,
                     AlphabetScratch* scratch);
 

@@ -28,8 +28,8 @@ using RegexCont = std::function<void(size_t)>;
 /// All derivations are enumerated (the caller deduplicates results); the
 /// engine itself is linear in pattern size per derivation step but may
 /// explore exponentially many derivations for ambiguous patterns — the
-/// paper's footnote 3 acknowledges this, and `pattern/nfa.h` provides the
-/// efficient boolean path.
+/// paper's footnote 3 acknowledges this, and the list search automaton
+/// (`pattern/multi.h`) provides the efficient boolean path.
 template <typename AtomMatcher>
 class RegexEngine {
  public:

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "exec/compile.h"
+#include "obs/metrics.h"
 #include "query/builder.h"
 #include "query/executor.h"
 #include "test_util.h"
@@ -100,10 +101,57 @@ TEST_F(BatchedMatchTest, ListGroupMatchesSequentialAtAllThreadCounts) {
       Q::ListSubSelect(scan, LP("zz")),
       Q::ListSubSelect(scan, LP("[[a | b]]+")),
   };
+  // A group whose patterns read no attribute has an empty alphabet: the
+  // scan then steps cells on all-zero signatures.
+  std::vector<PlanRef> no_preds = {
+      Q::ListSubSelect(scan, LP("? ?")),
+      Q::ListSubSelect(scan, LP("? ? ? ? ? ? ? ?")),
+  };
   for (size_t threads : {1u, 4u, 16u}) {
     CheckBatchEqualsSequential(plans, threads);
+    CheckBatchEqualsSequential(no_preds, threads);
   }
 }
+
+#ifndef AQUA_OBS_DISABLED
+TEST_F(BatchedMatchTest, ListGroupCountsSameRejectsAsPerPlanExecution) {
+  // The batch probe rejects a (plan, list) pair exactly when the plan's own
+  // prefilter would, so the two paths report the same reject count — and
+  // both drive the lazy DFA.
+  PlanRef windows = Q::ListSubSelect(Q::ScanList("l"), LP("? ? ?"));
+  std::vector<PlanRef> plans = {
+      Q::ListSubSelect(windows, LP("a b")), Q::ListSubSelect(windows, LP("zz")),
+      Q::ListSubSelect(windows, LP("b ?* d")),
+      Q::ListSubSelect(windows, LP("c")),
+  };
+  obs::Registry& reg = obs::Registry::Global();
+  auto count = [](const obs::Snapshot& d, const char* name) {
+    return d.CounterValue(name);
+  };
+
+  Executor single(&db_);
+  single.set_threads(1);
+  obs::Snapshot before = reg.Snap();
+  for (const PlanRef& plan : plans) ASSERT_OK(single.Execute(plan).status());
+  obs::Snapshot per_plan = reg.Snap().DeltaSince(before);
+
+  Executor batch(&db_);
+  batch.set_threads(1);
+  before = reg.Snap();
+  for (const Result<Datum>& r : batch.ExecuteBatch(plans)) {
+    ASSERT_OK(r.status());
+  }
+  obs::Snapshot batched = reg.Snap().DeltaSince(before);
+
+  EXPECT_GT(count(per_plan, "pattern.nfa_prefilter_rejects"), 0u);
+  EXPECT_EQ(count(batched, "pattern.nfa_prefilter_rejects"),
+            count(per_plan, "pattern.nfa_prefilter_rejects"));
+  for (const obs::Snapshot* d : {&per_plan, &batched}) {
+    EXPECT_GT(count(*d, "pattern.dfa_hits") + count(*d, "pattern.dfa_misses"),
+              0u);
+  }
+}
+#endif  // AQUA_OBS_DISABLED
 
 TEST_F(BatchedMatchTest, ForestInputsFanOutPerItem) {
   // sub_select over a select's forest output: the batch shares the forest

@@ -181,10 +181,10 @@ TEST_F(PhysicalOpTest, SerialExecutionEmitsNoMorselSpans) {
   EXPECT_EQ(exec.last_counters().CounterValue("exec.tasks_run"), 0u);
 }
 
-TEST_F(PhysicalOpTest, ListSubSelectSharesNfaAcrossWorkers) {
+TEST_F(PhysicalOpTest, ListSubSelectSharesSearchAutomatonAcrossWorkers) {
   // Nested list sub_select: the inner one produces a set of sublists, the
-  // outer fans out over them with one per-worker lazy DFA over a shared
-  // search NFA (compiled once in Prepare).
+  // outer fans out over them with one per-worker lazy DFA and alphabet
+  // scratch over a shared search automaton (compiled once in Prepare).
   auto plan = Q::ListSubSelect(Q::ListSubSelect(Q::ScanList("l"), LP("? ?")),
                                LP("a"));
   Executor serial(&db_);

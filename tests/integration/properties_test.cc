@@ -1,7 +1,8 @@
 // Property-based tests over randomized workloads:
 //  * split pieces always reassemble to the original tree/list;
 //  * derived operators agree with their split-based definitions;
-//  * the NFA/DFA boolean engines agree with the backtracking matcher;
+//  * the list search automaton (NFA and lazy DFA, single and merged) agrees
+//    with the backtracking matcher, and batched execution with single;
 //  * select is order-stable (matched nodes keep their preorder order);
 //  * list operators agree with tree operators through the §6 mapping.
 #include <gtest/gtest.h>
@@ -167,19 +168,48 @@ TEST_P(PropertiesTest, IndexedSubSelectAgreesWithNaive) {
   }
 }
 
+/// Unanchored existence by the backtracking matcher: the question the list
+/// search automaton answers. Errors (a blown step budget) pass through.
+Result<bool> BacktrackerExists(const StoreView& store, const List& l,
+                               const ListPatternRef& body,
+                               size_t max_steps = 0) {
+  ListMatcher matcher(store, l);
+  ListMatchOptions opts;
+  opts.max_matches = 1;
+  opts.max_steps = max_steps;
+  AQUA_ASSIGN_OR_RETURN(auto matches,
+                        matcher.FindAll(AnchoredListPattern{body}, opts));
+  return !matches.empty();
+}
+
+/// Bit 0 of the single-pattern search automaton, by NFA simulation and by
+/// lazy DFA (which must agree).
+bool AutomatonExists(const StoreView& store, const List& l,
+                     const ListPatternRef& body) {
+  auto nfa = MultiNfa::CompileSearch({body});
+  EXPECT_TRUE(nfa.ok()) << nfa.status().ToString();
+  if (!nfa.ok()) return false;
+  AlphabetScratch scratch;
+  const bool found = (nfa->MatchAll(store, l, &scratch) & 1) != 0;
+  auto dfa = LazyMultiDfa::Make(&*nfa);
+  EXPECT_TRUE(dfa.ok()) << dfa.status().ToString();
+  if (dfa.ok()) {
+    EXPECT_EQ((dfa->MatchAll(store, l, &scratch) & 1) != 0, found)
+        << body->ToString();
+  }
+  return found;
+}
+
 TEST_P(PropertiesTest, NfaAgreesWithBacktrackerOnRandomLists) {
   ASSERT_OK_AND_ASSIGN(
       List l, MakeRandomList(store_, 40, {"a", "b"}, GetParam()));
   const char* kPatterns[] = {"a b",       "a* b a*", "[[a | b b]]+",
-                             "a ?* b ?*", "b+ a+",   "[[a b]]*"};
+                             "a ?* b ?*", "b+ a+",   "[[a b]]*",
+                             "a a a a",   "b b b b b b"};
   for (const char* pat : kPatterns) {
     auto body = LP(pat).body;
-    ListMatcher matcher(store_, l);
-    ASSERT_OK_AND_ASSIGN(bool expected, matcher.MatchesWhole(body));
-    ASSERT_OK_AND_ASSIGN(Nfa nfa, Nfa::Compile(body));
-    EXPECT_EQ(nfa.MatchesWhole(store_, l), expected) << pat;
-    ASSERT_OK_AND_ASSIGN(LazyDfa dfa, LazyDfa::Make(&nfa));
-    EXPECT_EQ(dfa.MatchesWhole(store_, l), expected) << pat;
+    ASSERT_OK_AND_ASSIGN(bool expected, BacktrackerExists(store_, l, body));
+    EXPECT_EQ(AutomatonExists(store_, l, body), expected) << pat;
   }
 }
 
@@ -263,11 +293,12 @@ TEST_P(PropertiesTest, FuzzedListPatternsAgreeAcrossEngines) {
     if (!matches.ok()) continue;  // budget blown: exponential shape
     bool expected = !matches->empty();
     ++compared;
-    ASSERT_OK_AND_ASSIGN(Nfa nfa, Nfa::Compile(body));
-    EXPECT_EQ(nfa.MatchesWhole(store_, l), expected)
-        << body->ToString() << " seed=" << GetParam();
-    ASSERT_OK_AND_ASSIGN(LazyDfa dfa, LazyDfa::Make(&nfa));
-    EXPECT_EQ(dfa.MatchesWhole(store_, l), expected) << body->ToString();
+    // The search automaton answers the unanchored question.
+    auto exists = BacktrackerExists(store_, l, body, budgeted.max_steps);
+    if (exists.ok()) {
+      EXPECT_EQ(AutomatonExists(store_, l, body), *exists)
+          << body->ToString() << " seed=" << GetParam();
+    }
     // Simplification preserves the language.
     AnchoredListPattern simplified{SimplifyListPattern(body), true, true};
     ListMatcher matcher2(store_, l);
@@ -343,6 +374,93 @@ TEST_P(PropertiesTest, MatchPiecesContainOnlyMatchedPayloads) {
       EXPECT_EQ(labels[i], "a" + std::to_string(i + 1));
     }
   }
+}
+
+/// A random list literal over cells `a`, `b` and the concatenation point
+/// `@x` (points exercise the search loop's skip over non-cells).
+std::string RandomListLiteral(std::mt19937_64& rng, size_t max_len) {
+  static const char* kAtoms[] = {"a", "b", "a", "b", "@x"};
+  std::string lit = "[";
+  const size_t len = rng() % (max_len + 1);
+  for (size_t i = 0; i < len; ++i) {
+    if (i > 0) lit += ' ';
+    lit += kAtoms[rng() % 5];
+  }
+  return lit + "]";
+}
+
+TEST_P(PropertiesTest, MergedListAutomatonAgreesWithBacktrackerAndBatch) {
+  // Differential net over the list existence paths: for a batch of 1..8
+  // random patterns, every bit of the merged automaton (NFA simulation and
+  // lazy DFA) is the backtracker's unanchored existence answer, and
+  // `ExecuteBatch` equals per-plan `Execute` at 1 and 4 threads.
+  std::mt19937_64 rng(GetParam() * 6151);
+  Database db;
+  ASSERT_OK(RegisterItemType(db.store()));
+  AtomFn atom = MakeInterningAtomFn(&db.store(), "Item", "name");
+  LabelFn label = AttrLabelFn(&db.store(), "name");
+  // A result or error, rendered for byte-for-byte comparison.
+  auto render = [&](const Result<Datum>& r) {
+    return r.ok() ? r->ToString(label) : r.status().ToString();
+  };
+  constexpr size_t kBudget = 100000;  // skip bits whose backtracking explodes
+  size_t compared = 0;
+  for (int round = 0; round < 12; ++round) {
+    const std::string name = "l" + std::to_string(round);
+    const std::string lit = RandomListLiteral(rng, 16);
+    ASSERT_OK_AND_ASSIGN(List l, ParseListLiteral(lit, atom));
+    ASSERT_OK(db.RegisterList(name, l));
+
+    std::vector<ListPatternRef> bodies;
+    const size_t n = 1 + rng() % 8;
+    for (size_t j = 0; j < n; ++j) bodies.push_back(RandomListPattern(rng, 3));
+    ASSERT_OK_AND_ASSIGN(MultiNfa nfa, MultiNfa::CompileSearch(bodies));
+    ASSERT_OK_AND_ASSIGN(LazyMultiDfa dfa, LazyMultiDfa::Make(&nfa));
+    AlphabetScratch scratch;
+    const uint64_t nfa_mask = nfa.MatchAll(db.store(), l, &scratch);
+    const uint64_t dfa_mask = dfa.MatchAll(db.store(), l, &scratch);
+    EXPECT_EQ(nfa_mask, dfa_mask) << lit;
+    for (size_t j = 0; j < n; ++j) {
+      auto exists = BacktrackerExists(db.store(), l, bodies[j], kBudget);
+      if (!exists.ok()) continue;
+      ++compared;
+      EXPECT_EQ(((nfa_mask >> j) & 1) != 0, *exists)
+          << bodies[j]->ToString() << " over " << lit
+          << " seed=" << GetParam();
+    }
+
+    // The same patterns as plans, randomly anchored, over the list itself
+    // and over its windows (a set input that fans out across workers).
+    ListSplitOptions opts;
+    opts.match.max_steps = kBudget;
+    const PlanRef scan = Q::ScanList(name);
+    for (const PlanRef& input :
+         {scan, Q::ListSubSelect(scan, LP("? ?* ?"))}) {
+      std::vector<PlanRef> plans;
+      for (const ListPatternRef& body : bodies) {
+        AnchoredListPattern lp{body, rng() % 4 == 0, rng() % 4 == 0};
+        plans.push_back(Q::ListSubSelect(input, lp, opts));
+      }
+      Executor single(&db);
+      single.set_threads(1);
+      std::vector<std::string> want;
+      for (const PlanRef& plan : plans) {
+        want.push_back(render(single.Execute(plan)));
+      }
+      for (size_t threads : {1u, 4u}) {
+        Executor batch(&db);
+        batch.set_threads(threads);
+        std::vector<Result<Datum>> got = batch.ExecuteBatch(plans);
+        ASSERT_EQ(got.size(), plans.size());
+        for (size_t j = 0; j < plans.size(); ++j) {
+          EXPECT_EQ(render(got[j]), want[j])
+              << "plan " << j << " at threads=" << threads
+              << " seed=" << GetParam();
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 10u);  // the budget must not skip everything
 }
 
 }  // namespace

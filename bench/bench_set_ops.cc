@@ -111,6 +111,32 @@ void BM_BagOps(benchmark::State& state) {
 }
 BENCHMARK(BM_BagOps)->Arg(64)->Arg(256)->Arg(1024);
 
+/// Deep-equality set dedup (`Datum` sets, §2): builds a set of N distinct
+/// 3-node trees (small, so the working set stays cache-resident at both
+/// sizes). A linear-scan dedup is quadratic in N; hash-indexed it is
+/// linear, which the CI gate on time(4096)/time(512) checks.
+void BM_DatumSet_DistinctTrees(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<Datum> trees;
+  trees.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    trees.push_back(Datum::Of(
+        Tree::Node(NodePayload::Cell(Oid(1 + i % 64)),
+                   {Tree::Leaf(NodePayload::Cell(Oid(1 + i / 64))),
+                    Tree::Leaf(NodePayload::Cell(Oid(1)))})));
+  }
+  size_t size = 0;
+  for (auto _ : state) {
+    Datum set = Datum::Set({});
+    for (const Datum& t : trees) set.SetInsert(t);
+    size = set.size();
+    benchmark::DoNotOptimize(size);
+  }
+  Check(size == n ? Status::OK() : Status::Internal("trees not distinct"));
+  state.counters["out"] = static_cast<double>(size);
+}
+BENCHMARK(BM_DatumSet_DistinctTrees)->Arg(512)->Arg(4096);
+
 }  // namespace
 }  // namespace aqua
 

@@ -114,7 +114,7 @@ Result<Datum> TreeSubSelectSplitRewrite(const StoreView& store,
     Tree piece = tree.SubtreeCopy(v);
     AQUA_ASSIGN_OR_RETURN(Datum sub, TreeSubSelect(store, piece, anchored,
                                                    opts));
-    for (const Datum& d : sub.children()) out.SetInsert(d);
+    out.SetUnion(std::move(sub));
   }
   return out;
 }

@@ -48,6 +48,12 @@ bool List::Equals(const List& other) const {
   return true;
 }
 
+size_t List::Hash() const {
+  size_t h = elems_.size();
+  for (const NodePayload& e : elems_) h = HashCombine(h, e.Hash());
+  return HashFinalize(h);
+}
+
 void List::MapCells(const std::function<Oid(Oid)>& fn) {
   for (NodePayload& e : elems_) {
     if (e.is_cell()) e = NodePayload::Cell(fn(e.oid()));

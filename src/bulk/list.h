@@ -49,6 +49,8 @@ class List {
 
   /// Element-wise equality (cell contents / point labels).
   bool Equals(const List& other) const;
+  /// Hash consistent with `Equals`.
+  size_t Hash() const;
 
   friend bool operator==(const List& a, const List& b) { return a.Equals(b); }
   friend bool operator!=(const List& a, const List& b) { return !a.Equals(b); }

@@ -1,9 +1,11 @@
 #ifndef AQUA_BULK_NODE_H_
 #define AQUA_BULK_NODE_H_
 
+#include <functional>
 #include <string>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/ids.h"
 
 namespace aqua {
@@ -45,6 +47,13 @@ class NodePayload {
   }
   friend bool operator!=(const NodePayload& a, const NodePayload& b) {
     return !(a == b);
+  }
+
+  /// Hash consistent with `==`: covers the kind, the oid and the label.
+  size_t Hash() const {
+    size_t h = HashCombine(static_cast<size_t>(kind_), oid_.value);
+    return label_.empty() ? h
+                          : HashCombine(h, std::hash<std::string>{}(label_));
   }
 
  private:

@@ -236,6 +236,20 @@ bool Tree::StructurallyEquals(const Tree& other) const {
   return Cmp{this, &other}.Eq(root_, other.root_);
 }
 
+size_t Tree::StructuralHash() const {
+  size_t h = 0;
+  std::vector<NodeId> stack;
+  if (!empty()) stack.push_back(root_);
+  while (!stack.empty()) {
+    NodeId n = stack.back();
+    stack.pop_back();
+    const auto& kids = children_[n];
+    h = HashCombine(HashCombine(h, payloads_[n].Hash()), kids.size());
+    for (auto it = kids.rbegin(); it != kids.rend(); ++it) stack.push_back(*it);
+  }
+  return HashFinalize(h);
+}
+
 Status Tree::Validate() const {
   if (empty()) {
     if (!payloads_.empty()) {

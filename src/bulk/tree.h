@@ -125,6 +125,9 @@ class Tree {
 
   /// Structural equality: same shape and equal payloads position-wise.
   bool StructurallyEquals(const Tree& other) const;
+  /// Hash consistent with `StructurallyEquals`: every reachable node's
+  /// payload and arity, in preorder (so the shape counts).
+  size_t StructuralHash() const;
 
   /// Verifies internal invariants: single root reaching every arena node,
   /// acyclic parent/child links, concat points are leaves.

@@ -190,7 +190,7 @@ class FanOutOp : public PhysicalOp {
 
   void MergeInto(Datum* out, Datum&& r) const {
     if (spec_.merge == FanOutSpec::Merge::kUnionChildren) {
-      for (const Datum& d : r.children()) out->SetInsert(d);
+      out->SetUnion(std::move(r));
     } else {
       out->SetInsert(std::move(r));
     }
@@ -274,6 +274,9 @@ class CertifiedApplyOp : public FanOutOp {
     AQUA_OBS_COUNT("exec.apply_snapshot_commits", 1);
     for (size_t i = 0; i < slots->size(); ++i) {
       const std::vector<Oid>& f = finals[i];
+      // An item whose delta created no objects holds no provisional oid,
+      // so its remap is the identity.
+      if (f.empty()) continue;
       auto remap = [&f](Oid oid) {
         return IsProvisionalOid(oid) ? f[ProvisionalOidIndex(oid)] : oid;
       };
@@ -444,17 +447,17 @@ PhysicalOpRef Compile(const PlanRef& plan) {
       return std::make_shared<SimpleOp>(
           plan, std::move(children),
           [](ExecContext& ctx, const PlanNode& n) -> Result<Datum> {
-            AQUA_ASSIGN_OR_RETURN(const Tree* tree,
-                                  ctx.db->GetTree(n.collection));
-            return Datum::Of(*tree);
+            AQUA_ASSIGN_OR_RETURN(std::shared_ptr<const Tree> tree,
+                                  ctx.db->ShareTree(n.collection));
+            return Datum::Shared(std::move(tree));
           });
     case PlanOp::kScanList:
       return std::make_shared<SimpleOp>(
           plan, std::move(children),
           [](ExecContext& ctx, const PlanNode& n) -> Result<Datum> {
-            AQUA_ASSIGN_OR_RETURN(const List* list,
-                                  ctx.db->GetList(n.collection));
-            return Datum::Of(*list);
+            AQUA_ASSIGN_OR_RETURN(std::shared_ptr<const List> list,
+                                  ctx.db->ShareList(n.collection));
+            return Datum::Shared(std::move(list));
           });
     case PlanOp::kTreeSelect:
       return std::make_shared<LambdaFanOutOp>(
@@ -711,7 +714,7 @@ class BatchedMatchOpBase : public BatchedPatternOp {
           failed = slots[i][j].status();
           break;
         }
-        for (const Datum& d : slots[i][j]->children()) out.SetInsert(d);
+        out.SetUnion(std::move(*slots[i][j]));
       }
       results_[j] = failed.ok() ? Result<Datum>(std::move(out))
                                 : Result<Datum>(std::move(failed));

@@ -73,8 +73,11 @@ CardInterval ApplyCard(const PlanFacts& in, const FnExprRef& expr) {
 class AbsInterpreter {
  public:
   AbsInterpreter(const Database& db, std::string pattern_source,
-                 AbsIntResult* out)
-      : db_(db), pattern_source_(std::move(pattern_source)), out_(out) {}
+                 AutomatonMemo* automata, AbsIntResult* out)
+      : db_(db),
+        pattern_source_(std::move(pattern_source)),
+        automata_(automata),
+        out_(out) {}
 
   PlanFacts Walk(const PlanRef& node) {
     if (node == nullptr) return PlanFacts{};
@@ -257,7 +260,7 @@ class AbsInterpreter {
                 ? ScanFacts(node.collection, /*wants_tree=*/false)
                 : in;
         bool dead = base.card.provably_empty() ||
-                    ListPatternProvablyEmpty(node.lpattern.body) ||
+                    ListPatternProvablyEmpty(node.lpattern.body, automata_) ||
                     (node.anchor != nullptr &&
                      AnalyzePredicateSat(node.anchor) ==
                          PredSat::kUnsatisfiable);
@@ -289,7 +292,7 @@ class AbsInterpreter {
         out.elem = ElemKind::kUnknown;
         out.effect = NodeFnEffect(node);
         if (in.card.provably_empty() ||
-            ListPatternProvablyEmpty(node.lpattern.body)) {
+            ListPatternProvablyEmpty(node.lpattern.body, automata_)) {
           out.card = CardInterval::Empty();
           out.nodes_hi = 0;
         }
@@ -395,6 +398,7 @@ class AbsInterpreter {
 
   const Database& db_;
   std::string pattern_source_;
+  AutomatonMemo* automata_;
   AbsIntResult* out_;
 };
 
@@ -469,9 +473,10 @@ std::string PlanFacts::ToString() const {
 }
 
 AbsIntResult AnalyzePlan(const Database& db, const PlanRef& plan,
-                         const std::string& pattern_source) {
+                         const std::string& pattern_source,
+                         AutomatonMemo* automata) {
   AbsIntResult result;
-  AbsInterpreter interp(db, pattern_source, &result);
+  AbsInterpreter interp(db, pattern_source, automata, &result);
   result.root = interp.Walk(plan);
 
   // AQL019: provable emptiness flowed all the way up. Only fires when a

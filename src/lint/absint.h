@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "algebra/fn_expr.h"
+#include "lint/automaton.h"
 #include "lint/diagnostic.h"
 #include "query/database.h"
 #include "query/plan.h"
@@ -109,10 +110,13 @@ struct AbsIntResult {
 ///  * AQL019 `empty-result-flow`    — provable emptiness reached the root:
 ///    the whole query returns nothing.
 ///
-/// `pattern_source` is threaded onto diagnostics exactly as in `LintPlan`.
+/// `pattern_source` is threaded onto diagnostics exactly as in `LintPlan`;
+/// `automata` shares list-pattern automaton facts with the caller's other
+/// analyses (null analyzes afresh).
 /// Emits `lint.absint_facts` (nodes analyzed) per pass.
 AbsIntResult AnalyzePlan(const Database& db, const PlanRef& plan,
-                         const std::string& pattern_source = {});
+                         const std::string& pattern_source = {},
+                         AutomatonMemo* automata = nullptr);
 
 /// Asserts the §4 rewrite `before → after` against the inferred facts and
 /// returns AQL020 `unsafe-rewrite` diagnostics for every contradiction: a

@@ -119,4 +119,18 @@ AutomatonFacts AnalyzeListPatternAutomaton(const ListPatternRef& body) {
   return facts;
 }
 
+AutomatonFacts AutomatonMemo::Analyze(const ListPatternRef& body) {
+  for (const auto& [b, facts] : entries_) {
+    if (b == body) return facts;
+  }
+  entries_.emplace_back(body, AnalyzeListPatternAutomaton(body));
+  return entries_.back().second;
+}
+
+AutomatonFacts AnalyzeListPatternAutomaton(const ListPatternRef& body,
+                                           AutomatonMemo* memo) {
+  return memo != nullptr ? memo->Analyze(body)
+                         : AnalyzeListPatternAutomaton(body);
+}
+
 }  // namespace aqua::lint

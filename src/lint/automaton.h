@@ -1,6 +1,9 @@
 #ifndef AQUA_LINT_AUTOMATON_H_
 #define AQUA_LINT_AUTOMATON_H_
 
+#include <utility>
+#include <vector>
+
 #include "pattern/list_pattern.h"
 
 namespace aqua::lint {
@@ -27,6 +30,24 @@ struct AutomatonFacts {
 /// Compiles `body` and analyzes it. Never fails: an uncompilable pattern
 /// yields `compiled == false`.
 AutomatonFacts AnalyzeListPatternAutomaton(const ListPatternRef& body);
+
+/// `AnalyzeListPatternAutomaton` memoised per pattern body, for one
+/// `LintPlan` call: the pattern lint (AQL001), the plan lint's AQL009 and
+/// the abstract interpreter all ask about the same bodies, and each
+/// compile interns and seals a predicate alphabet. Not thread-safe.
+class AutomatonMemo {
+ public:
+  AutomatonFacts Analyze(const ListPatternRef& body);
+
+ private:
+  // Plans carry a handful of patterns: a linear scan beats hashing. The
+  // refs keep each body alive, so identity keys cannot be reused.
+  std::vector<std::pair<ListPatternRef, AutomatonFacts>> entries_;
+};
+
+/// `memo->Analyze(body)`, or an unmemoised analysis when `memo` is null.
+AutomatonFacts AnalyzeListPatternAutomaton(const ListPatternRef& body,
+                                           AutomatonMemo* memo);
 
 }  // namespace aqua::lint
 

@@ -47,8 +47,8 @@ bool IsListPatternOp(PlanOp op) {
 class PlanLinter {
  public:
   PlanLinter(const Database& db, const PlanLintOptions& opts,
-             std::vector<Diagnostic>* out)
-      : db_(db), opts_(opts), out_(out) {}
+             AutomatonMemo* automata, std::vector<Diagnostic>* out)
+      : db_(db), opts_(opts), automata_(automata), out_(out) {}
 
   void Walk(const PlanRef& node) {
     if (node == nullptr) return;
@@ -172,6 +172,7 @@ class PlanLinter {
     PatternLintOptions popts;
     popts.source = opts_.pattern_source;
     popts.query_level = true;
+    popts.automata = automata_;
     if (node->tpattern != nullptr) {
       for (Diagnostic& d : LintTreePattern(node->tpattern, popts)) {
         d.context = ctx;
@@ -189,7 +190,7 @@ class PlanLinter {
         d.context = ctx;
         out_->push_back(std::move(d));
       }
-      if (ListPatternProvablyEmpty(node->lpattern.body)) {
+      if (ListPatternProvablyEmpty(node->lpattern.body, automata_)) {
         Emit(ctx, DiagCode::kEmptyOperator,
              "pattern operator provably yields no result: its list pattern "
              "matches nothing (the rewriter folds this operator to an empty "
@@ -207,6 +208,7 @@ class PlanLinter {
 
   const Database& db_;
   const PlanLintOptions& opts_;
+  AutomatonMemo* automata_;
   std::vector<Diagnostic>* out_;
   // Shared by every node of one walk: each collection is walked once.
   CollectionTypeMemo types_;
@@ -265,9 +267,11 @@ bool HasErrors(const std::vector<Diagnostic>& diags) {
 std::vector<Diagnostic> LintPlan(const Database& db, const PlanRef& plan,
                                  const PlanLintOptions& opts) {
   std::vector<Diagnostic> out;
-  PlanLinter(db, opts, &out).Walk(plan);
+  AutomatonMemo automata;
+  PlanLinter(db, opts, &automata, &out).Walk(plan);
   if (opts.absint) {
-    AbsIntResult facts = AnalyzePlan(db, plan, opts.pattern_source);
+    AbsIntResult facts =
+        AnalyzePlan(db, plan, opts.pattern_source, &automata);
     for (Diagnostic& d : facts.diags) out.push_back(std::move(d));
   }
   AQUA_OBS_COUNT("lint.diag_emitted", out.size());

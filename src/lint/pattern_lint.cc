@@ -145,7 +145,8 @@ class PatternLinter {
   void LintAnchored(const AnchoredListPattern& lp) {
     if (lp.body == nullptr) return;
     if (opts_.query_level) {
-      AutomatonFacts facts = AnalyzeListPatternAutomaton(lp.body);
+      AutomatonFacts facts =
+          AnalyzeListPatternAutomaton(lp.body, opts_.automata);
       bool empty = facts.compiled ? facts.language_empty : EmptyL(*lp.body);
       if (empty) {
         Emit(DiagCode::kEmptyPattern,
@@ -402,9 +403,10 @@ std::vector<Diagnostic> LintTreePattern(const TreePatternRef& tp,
   return out;
 }
 
-bool ListPatternProvablyEmpty(const ListPatternRef& body) {
+bool ListPatternProvablyEmpty(const ListPatternRef& body,
+                              AutomatonMemo* automata) {
   if (body == nullptr) return false;
-  AutomatonFacts facts = AnalyzeListPatternAutomaton(body);
+  AutomatonFacts facts = AnalyzeListPatternAutomaton(body, automata);
   if (facts.compiled) return facts.language_empty;
   return EmptyL(*body);
 }

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "lint/automaton.h"
 #include "lint/diagnostic.h"
 #include "pattern/list_pattern.h"
 #include "pattern/tree_pattern.h"
@@ -18,6 +19,9 @@ struct PatternLintOptions {
   /// findings (emptiness AQL001, vacuity AQL002, whole-match prune AQL008)
   /// apply only then — a nullable *sub*pattern is not vacuous.
   bool query_level = true;
+  /// Automaton facts shared with the other analyses of one plan; null
+  /// compiles the pattern's automaton afresh.
+  AutomatonMemo* automata = nullptr;
 };
 
 /// Lints a list pattern (§3.2): emptiness (automaton-backed), vacuity,
@@ -33,7 +37,9 @@ std::vector<Diagnostic> LintTreePattern(const TreePatternRef& tp,
                                         const PatternLintOptions& opts = {});
 
 /// Conservative AST-level emptiness: true only when no list can match.
-bool ListPatternProvablyEmpty(const ListPatternRef& body);
+/// `automata` as in `PatternLintOptions`.
+bool ListPatternProvablyEmpty(const ListPatternRef& body,
+                              AutomatonMemo* automata = nullptr);
 /// True only when no tree can match.
 bool TreePatternProvablyEmpty(const TreePatternRef& tp);
 

@@ -165,7 +165,8 @@ Registry::Registry() {
         "exec.lists_processed", "exec.batched_patterns",
         "exec.batch_scan_rows", "stats.harvests", "stats.evictions",
         "cost.learned_hits", "cost.learned_misses", "lint.diag_emitted",
-        "lint.collection_walks"}) {
+        "lint.collection_walks", "datum.set_inserts",
+        "datum.deep_equal_calls"}) {
     counters_.emplace(name, std::unique_ptr<Counter>(new Counter(name)));
   }
   for (const char* name :

@@ -2,17 +2,10 @@
 
 #include <cstring>
 
+#include "common/hash.h"
 #include "object/schema.h"
 
 namespace aqua {
-
-namespace {
-
-inline size_t HashCombine(size_t seed, size_t v) {
-  return seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
-}
-
-}  // namespace
 
 size_t PredicateStructuralHash(const Predicate& p) {
   size_t h = static_cast<size_t>(p.kind()) * 0x100000001b3ULL;

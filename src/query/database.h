@@ -2,6 +2,7 @@
 #define AQUA_QUERY_DATABASE_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,10 @@ class Database {
 
   Result<const Tree*> GetTree(const std::string& name) const;
   Result<const List*> GetList(const std::string& name) const;
+  /// The registered collection itself, for callers that hold it beyond
+  /// the lookup (a scan's result datum shares it instead of copying).
+  Result<std::shared_ptr<const Tree>> ShareTree(const std::string& name) const;
+  Result<std::shared_ptr<const List>> ShareList(const std::string& name) const;
 
   /// Builds an attribute index over a registered collection (dispatches on
   /// the collection kind).
@@ -48,8 +53,8 @@ class Database {
  private:
   ObjectStore store_;
   IndexManager indexes_;
-  std::map<std::string, Tree> trees_;
-  std::map<std::string, List> lists_;
+  std::map<std::string, std::shared_ptr<const Tree>> trees_;
+  std::map<std::string, std::shared_ptr<const List>> lists_;
 };
 
 }  // namespace aqua

@@ -71,6 +71,16 @@ TEST_F(PhysicalOpTest, CompileNeverReturnsNull) {
   EXPECT_EQ(ctx.operators_evaluated.load(), 0u);
 }
 
+TEST_F(PhysicalOpTest, ScansShareTheRegisteredCollection) {
+  Executor exec(&db_);
+  ASSERT_OK_AND_ASSIGN(Datum t, exec.Execute(Q::ScanTree("t")));
+  ASSERT_OK_AND_ASSIGN(const Tree* tree, db_.GetTree("t"));
+  EXPECT_EQ(&t.tree(), tree);
+  ASSERT_OK_AND_ASSIGN(Datum l, exec.Execute(Q::ScanList("l")));
+  ASSERT_OK_AND_ASSIGN(const List* list, db_.GetList("l"));
+  EXPECT_EQ(&l.list(), list);
+}
+
 TEST_F(PhysicalOpTest, CompiledTreeMirrorsPlanShape) {
   auto plan = Q::TreeSubSelect(Q::ScanTree("t"), TP("b(d ?)"));
   auto op = exec::Compile(plan);

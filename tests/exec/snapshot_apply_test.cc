@@ -160,6 +160,29 @@ TEST_F(SnapshotApplyTest, GuardedSetAttrDisjointByteIdentical) {
   CheckMutatingDeterministic(plan, "guarded disjoint set_attr");
 }
 
+TEST_F(SnapshotApplyTest, SetAttrApplyKeepsAnswersAndCreatesNoObjects) {
+  // set_attr maps every cell to itself and creates nothing, so the apply's
+  // answer is its input's answer and the store keeps its object count.
+  auto pieces =
+      Q::TreeSubSelect(Q::ScanTree("rand"), TP("{name == \"a\"}(?*)"));
+  auto plan =
+      Q::TreeApplyExpr(pieces, FnExpr::SetAttr({{"val", Value::Int(-5)}}));
+  ASSERT_TRUE(exec::ApplySnapshotWriteCertified(plan));
+  for (size_t threads : kThreadCounts) {
+    Database db;
+    ASSERT_OK(Populate(db));
+    Executor exec(&db);
+    exec.set_threads(threads);
+    ASSERT_OK_AND_ASSIGN(Datum want, exec.Execute(pieces));
+    const uint64_t objects = db.store().num_objects();
+    ASSERT_OK_AND_ASSIGN(Datum got, exec.Execute(plan));
+    EXPECT_GT(got.size(), 1u);
+    EXPECT_EQ(got.ToString(OidLabel()), want.ToString(OidLabel()))
+        << "threads=" << threads;
+    EXPECT_EQ(db.store().num_objects(), objects) << "threads=" << threads;
+  }
+}
+
 TEST_F(SnapshotApplyTest, UpdateOnlyListApplyByteIdentical) {
   auto plan = Q::ListApplyExpr(
       Q::ListSubSelect(Q::ScanList("items"), LP("a ?* b")),

@@ -4,9 +4,11 @@
 //  * the list search automaton (NFA and lazy DFA, single and merged) agrees
 //    with the backtracking matcher, and batched execution with single;
 //  * select is order-stable (matched nodes keep their preorder order);
-//  * list operators agree with tree operators through the §6 mapping.
+//  * list operators agree with tree operators through the §6 mapping;
+//  * hash-indexed set dedup agrees with a linear deep-equality scan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "test_util.h"
@@ -92,7 +94,68 @@ TreePatternRef RandomTreePattern(std::mt19937_64& rng, int depth) {
 }
 
 class PropertiesTest : public testing::AquaTestBase,
-                       public ::testing::WithParamInterface<uint64_t> {};
+                       public ::testing::WithParamInterface<uint64_t> {
+ protected:
+  /// A random datum over a tiny alphabet, so equal datums recur: trees and
+  /// lists over `a`/`b` and two concat-point labels, int/double scalars
+  /// that coerce to equal, and tuples and sets of those (sets built in a
+  /// random order).
+  Datum RandomDatum(std::mt19937_64& rng, int depth) {
+    switch (rng() % (depth > 0 ? 6 : 3)) {
+      case 0: {
+        const double kNums[] = {0.0, -0.0, 1.0, 1.5};
+        if (rng() % 2 == 0) return Datum::Scalar(Value::Int(rng() % 2));
+        return Datum::Scalar(Value::Double(kNums[rng() % 4]));
+      }
+      case 1:
+        return Datum::Of(T(RandomTreeLiteral(rng, 2)));
+      case 2: {
+        std::string lit = "[";
+        for (size_t i = rng() % 3; i > 0; --i) lit += RandomAtom(rng) + " ";
+        return Datum::Of(L(lit + "]"));
+      }
+      case 3:
+        return Datum::Tuple(
+            {RandomDatum(rng, depth - 1), RandomDatum(rng, depth - 1)});
+      default: {
+        std::vector<Datum> elems;
+        for (size_t i = rng() % 4; i > 0; --i) {
+          elems.push_back(RandomDatum(rng, depth - 1));
+        }
+        std::shuffle(elems.begin(), elems.end(), rng);
+        return Datum::Set(std::move(elems));
+      }
+    }
+  }
+
+  static std::string RandomAtom(std::mt19937_64& rng) {
+    const char* kAtoms[] = {"a", "b", "a", "b", "@x", "@y"};
+    return kAtoms[rng() % 6];
+  }
+
+  static std::string RandomTreeLiteral(std::mt19937_64& rng, int depth) {
+    std::string atom = RandomAtom(rng);
+    if (atom[0] == '@' || depth == 0) return atom;
+    size_t kids = rng() % 3;
+    if (kids == 0) return atom;
+    atom += "(";
+    for (size_t i = 0; i < kids; ++i) {
+      atom += (i > 0 ? " " : "") + RandomTreeLiteral(rng, depth - 1);
+    }
+    return atom + ")";
+  }
+};
+
+/// Same datum in the same order all the way down, scalar types included:
+/// the dedup winner, not merely an equal element.
+bool Identical(const Datum& a, const Datum& b) {
+  if (a.kind() != b.kind() || !a.Equals(b)) return false;
+  if (a.is_scalar()) return a.scalar().type() == b.scalar().type();
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!Identical(a.at(i), b.at(i))) return false;
+  }
+  return true;
+}
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PropertiesTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
@@ -461,6 +524,54 @@ TEST_P(PropertiesTest, MergedListAutomatonAgreesWithBacktrackerAndBatch) {
     }
   }
   EXPECT_GT(compared, 10u);  // the budget must not skip everything
+}
+
+TEST_P(PropertiesTest, HashedSetDedupAgreesWithLinearScan) {
+  std::mt19937_64 rng(GetParam() * 1299709);
+  std::vector<Datum> pool;
+  for (int i = 0; i < 300; ++i) pool.push_back(RandomDatum(rng, 2));
+
+  // Equal datums hash equal; the pool holds many equal pairs.
+  size_t equal_pairs = 0;
+  for (size_t i = 0; i < pool.size(); ++i) {
+    for (size_t j = i + 1; j < pool.size(); ++j) {
+      if (!pool[i].Equals(pool[j])) continue;
+      ++equal_pairs;
+      EXPECT_EQ(pool[i].Hash(), pool[j].Hash())
+          << pool[i].ToString(label_) << " vs " << pool[j].ToString(label_);
+    }
+  }
+  EXPECT_GT(equal_pairs, 50u);
+
+  // Insertion order and winners match the linear-scan reference dedup.
+  std::vector<Datum> reference;
+  for (const Datum& d : pool) {
+    bool seen = false;
+    for (const Datum& r : reference) seen = seen || r.Equals(d);
+    if (!seen) reference.push_back(d);
+  }
+  Datum set = Datum::Set(pool);
+  ASSERT_EQ(set.size(), reference.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_TRUE(Identical(set.at(i), reference[i])) << "element " << i;
+  }
+  Datum unioned = Datum::Set({});
+  for (size_t k = 0; k < pool.size(); k += 7) {
+    std::vector<Datum> chunk(pool.begin() + k,
+                             pool.begin() + std::min(k + 7, pool.size()));
+    unioned.SetUnion(Datum::Set(std::move(chunk)));
+  }
+  EXPECT_TRUE(Identical(unioned, set));
+  for (const Datum& d : pool) EXPECT_TRUE(set.SetContains(d));
+
+  // Set equality agrees with order-insensitive two-way containment.
+  std::vector<Datum> shuffled = reference;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  Datum reordered = Datum::Set(shuffled);
+  EXPECT_TRUE(reordered.Equals(set));
+  EXPECT_EQ(reordered.Hash(), set.Hash());
+  shuffled.pop_back();
+  EXPECT_FALSE(Datum::Set(shuffled).Equals(set));
 }
 
 }  // namespace

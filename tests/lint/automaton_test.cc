@@ -56,5 +56,24 @@ TEST(AutomatonTest, DeadClosureHasNoLiveCycle) {
   EXPECT_FALSE(f.has_live_eps_cycle);
 }
 
+TEST(AutomatonTest, MemoAnswersLikeAFreshAnalysis) {
+  AutomatonMemo memo;
+  for (int round = 0; round < 2; ++round) {
+    for (const char* pattern :
+         {"a b", "[[a]]*", "{x > 3 && x < 1}", "[[[[a]]*]]+"}) {
+      auto lp = ParseListPattern(pattern);
+      ASSERT_TRUE(lp.ok()) << lp.status().ToString();
+      AutomatonFacts want = AnalyzeListPatternAutomaton(lp->body);
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        AutomatonFacts got = memo.Analyze(lp->body);
+        EXPECT_EQ(got.compiled, want.compiled) << pattern;
+        EXPECT_EQ(got.language_empty, want.language_empty) << pattern;
+        EXPECT_EQ(got.accepts_empty, want.accepts_empty) << pattern;
+        EXPECT_EQ(got.has_live_eps_cycle, want.has_live_eps_cycle) << pattern;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace aqua::lint

@@ -8,9 +8,11 @@
 // `{name == "P<k>" && citizen == <rare country>}`, so the columnar
 // necessary-predicate gate rules most (family, pattern) pairs out without
 // running the matcher. The list sweep probes a 100k-note song with
-// two-note motif patterns. Sequential = one `Execute` per plan; batched =
-// one `ExecuteBatch` over the identical plans — tests/exec/batched_match
-// proves the outputs byte-identical, this file measures the price.
+// two-note motif patterns, and — the dense rows — with motifs shaped like
+// the request benchmark's, every one of which matches. Sequential = one
+// `Execute` per plan; batched = one `ExecuteBatch` over the identical
+// plans — tests/exec/batched_match proves the outputs byte-identical, this
+// file measures the price.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
@@ -167,51 +169,87 @@ std::vector<PlanRef> SongPatternPlans(size_t n) {
   return plans;
 }
 
+// N motifs shaped like the request benchmark's motif batches: a pitch
+// head, then pitch / duration / any atoms. Over a long random song every
+// motif matches many times, so every pattern's matcher runs — the dense
+// case, where the matchers read the merged scan's signature column.
+std::vector<PlanRef> DenseSongPatternPlans(size_t n) {
+  const char* kShapes[] = {"AP", "DAP", "PD", "APD", "DP", "PAD", "AD", "DPP"};
+  PlanRef child = Q::ScanList("song");
+  std::vector<PlanRef> plans;
+  for (size_t j = 0; j < n; ++j) {
+    std::vector<ListPatternRef> atoms;
+    const std::string kinds = std::string("P") + kShapes[j % 8];
+    for (size_t k = 0; k < kinds.size(); ++k) {
+      switch (kinds[k]) {
+        case 'P':
+          atoms.push_back(ListPattern::Pred(Predicate::AttrEquals(
+              "pitch", Value::String(kPitches[(3 * j + k) % 7]))));
+          break;
+        case 'D':
+          atoms.push_back(ListPattern::Pred(Predicate::AttrEquals(
+              "duration", Value::Int(static_cast<int64_t>(1 + (j + k) % 8)))));
+          break;
+        default:
+          atoms.push_back(ListPattern::Any());
+          break;
+      }
+    }
+    AnchoredListPattern lp;
+    lp.body = ListPattern::Concat(std::move(atoms));
+    plans.push_back(Q::ListSubSelect(child, lp));
+  }
+  return plans;
+}
+
 constexpr size_t kSongNotes = 100000;
 
-void BM_MultiQuery_ListBatched(benchmark::State& state) {
+// One list sweep: N plans from `make` over a 100k-note song, answered by
+// one `ExecuteBatch` or by N `Execute`s.
+void ListSweep(benchmark::State& state,
+               std::vector<PlanRef> (*make)(size_t), bool batched) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t threads = static_cast<size_t>(state.range(1));
   Database db;
   SongSpec spec;
   spec.num_notes = kSongNotes;
   Check(db.RegisterList("song", OrDie(MakeSong(db.store(), spec))));
-  std::vector<PlanRef> plans = SongPatternPlans(n);
+  std::vector<PlanRef> plans = make(n);
   Executor exec(&db);
   exec.set_threads(threads);
   size_t matches = 0;
   for (auto _ : state) {
-    matches = RunBatched(exec, plans, state);
+    matches = batched ? RunBatched(exec, plans, state)
+                      : RunSequential(exec, plans, state);
     benchmark::DoNotOptimize(matches);
   }
   state.counters["patterns"] = static_cast<double>(n);
   state.counters["matches"] = static_cast<double>(matches);
+}
+
+void BM_MultiQuery_ListBatched(benchmark::State& state) {
+  ListSweep(state, SongPatternPlans, /*batched=*/true);
 }
 BENCHMARK(BM_MultiQuery_ListBatched)
     ->Args({2, 1})->Args({8, 1})->Args({16, 1})
     ->UseRealTime();
 
 void BM_MultiQuery_ListSequential(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const size_t threads = static_cast<size_t>(state.range(1));
-  Database db;
-  SongSpec spec;
-  spec.num_notes = kSongNotes;
-  Check(db.RegisterList("song", OrDie(MakeSong(db.store(), spec))));
-  std::vector<PlanRef> plans = SongPatternPlans(n);
-  Executor exec(&db);
-  exec.set_threads(threads);
-  size_t matches = 0;
-  for (auto _ : state) {
-    matches = RunSequential(exec, plans, state);
-    benchmark::DoNotOptimize(matches);
-  }
-  state.counters["patterns"] = static_cast<double>(n);
-  state.counters["matches"] = static_cast<double>(matches);
+  ListSweep(state, SongPatternPlans, /*batched=*/false);
 }
 BENCHMARK(BM_MultiQuery_ListSequential)
     ->Args({2, 1})->Args({8, 1})->Args({16, 1})
     ->UseRealTime();
+
+void BM_MultiQuery_ListBatchedDense(benchmark::State& state) {
+  ListSweep(state, DenseSongPatternPlans, /*batched=*/true);
+}
+BENCHMARK(BM_MultiQuery_ListBatchedDense)->Args({8, 1})->UseRealTime();
+
+void BM_MultiQuery_ListSequentialDense(benchmark::State& state) {
+  ListSweep(state, DenseSongPatternPlans, /*batched=*/false);
+}
+BENCHMARK(BM_MultiQuery_ListSequentialDense)->Args({8, 1})->UseRealTime();
 
 }  // namespace
 }  // namespace aqua

@@ -111,10 +111,15 @@ Result<Datum> ListSubSelect(const StoreView& store, const List& list,
   // validation.
   auto nfa = MultiNfa::CompileSearch({lp.body});
   AlphabetScratch scratch;
+  std::vector<uint64_t> column;
+  ListPatternSlots slots;
   ListPrefilter pre;
   if (nfa.ok()) {
+    slots = ListPatternSlots::Resolve(*lp.body, nfa->alphabet());
     pre.nfa = &*nfa;
     pre.scratch = &scratch;
+    pre.column = &column;
+    pre.slots = &slots;
   }
   return ListSubSelectPrefiltered(store, list, lp, opts, pre);
 }
@@ -122,8 +127,8 @@ Result<Datum> ListSubSelect(const StoreView& store, const List& list,
 uint64_t ListPrefilter::MatchAll(const StoreView& store,
                                  const List& list) const {
   if (nfa == nullptr) return ~0ULL;
-  return dfa != nullptr ? dfa->MatchAll(store, list, scratch)
-                        : nfa->MatchAll(store, list, scratch);
+  return dfa != nullptr ? dfa->MatchAll(store, list, scratch, column)
+                        : nfa->MatchAll(store, list, scratch, column);
 }
 
 Result<Datum> ListSubSelectPrefiltered(const StoreView& store,
@@ -135,7 +140,9 @@ Result<Datum> ListSubSelectPrefiltered(const StoreView& store,
     AQUA_OBS_COUNT("pattern.nfa_prefilter_rejects", 1);
     return Datum::Set({});
   }
-  ListMatcher matcher(store, list);
+  const bool bound = pre.column != nullptr && pre.slots != nullptr;
+  ListMatcher matcher(store, list, bound ? pre.column->data() : nullptr,
+                      bound ? pre.slots : nullptr);
   AQUA_ASSIGN_OR_RETURN(std::vector<ListMatch> matches,
                         matcher.FindAll(lp, opts.match));
   Datum out = Datum::Set({});

@@ -82,28 +82,42 @@ class MultiNfa;         // pattern/multi.h
 class LazyMultiDfa;     // pattern/multi.h
 struct AlphabetScratch;  // pattern/alphabet.h
 
-/// Caller-owned existence prefilter for `ListSubSelectPrefiltered`: the
-/// search automaton `MultiNfa::CompileSearch({lp.body})` (one pattern, so
-/// bit 0 is the answer), optionally fronted by a lazily determinized DFA
-/// over it, plus the alphabet scratch the scan evaluates into. Compiling
-/// the automaton once and reusing it across every list of a corpus (and
-/// warming one DFA and one scratch per worker) is what makes the prefilter
-/// pay off inside a fan-out — the plain `ListSubSelect` compiles it per
-/// call.
+/// Caller-owned existence prefilter and signature column for
+/// `ListSubSelectPrefiltered`: the search automaton
+/// `MultiNfa::CompileSearch` over the pattern bodies (bit 0 is the answer
+/// for the pattern at hand), optionally fronted by a lazily determinized
+/// DFA over it, plus the alphabet scratch the scan evaluates into.
+/// Compiling the automaton once and reusing it across every list of a
+/// corpus (and warming one DFA and one scratch per worker) is what makes
+/// the prefilter pay off inside a fan-out — the plain `ListSubSelect`
+/// compiles it per call.
+///
+/// The scan also leaves the list's signature column in `column`; with the
+/// pattern's `slots` in the automaton's alphabet, the matcher reads every
+/// alphabet-predicate outcome from there instead of the store.
 struct ListPrefilter {
   const MultiNfa* nfa = nullptr;      ///< null disables the prefilter
   LazyMultiDfa* dfa = nullptr;        ///< optional; built over `nfa`
   AlphabetScratch* scratch = nullptr;  ///< required when `nfa` is set
+  /// The list's signature column: `MatchAll` fills it when `nfa` is set;
+  /// without `nfa`, the caller's own `MatchAll` over the same list already
+  /// did. Null leaves the matcher on `Predicate::Eval`.
+  std::vector<uint64_t>* column = nullptr;
+  /// The pattern's atoms bound to the column's alphabet; null leaves the
+  /// matcher on `Predicate::Eval`.
+  const ListPatternSlots* slots = nullptr;
 
   /// Bitset of the automaton's patterns that match somewhere in `list`
-  /// (through the DFA when present); all ones when disabled.
+  /// (through the DFA when present), filling `column`; all ones when
+  /// disabled.
   uint64_t MatchAll(const StoreView& store, const List& list) const;
 };
 
 /// `ListSubSelect` with the prefilter automaton supplied by the caller
 /// instead of compiled per call. `pre.nfa == nullptr` (e.g. for patterns
-/// the automaton cannot compile) skips the prefilter and goes straight to
-/// the backtracking matcher, exactly like the plain overload.
+/// the automaton cannot compile, or a batch whose merged scan already
+/// answered) skips the prefilter and goes straight to the backtracking
+/// matcher, which reads `pre.column` through `pre.slots` when both are set.
 Result<Datum> ListSubSelectPrefiltered(const StoreView& store,
                                        const List& list,
                                        const AnchoredListPattern& lp,

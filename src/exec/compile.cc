@@ -303,15 +303,17 @@ class CertifiedApplyOp : public FanOutOp {
 
 /// The list existence prefilter a list operator hoists into `Prepare`: one
 /// search automaton over the operator's pattern bodies, compiled once per
-/// Execute and shared read-only across workers, plus per-worker-slot
-/// alphabet scratch and lazy DFA — both mutate while matching, so they are
+/// Execute and shared read-only across workers, with each body's atoms
+/// bound to the automaton's alphabet slots. Per worker slot it keeps the
+/// alphabet scratch, the lazy DFA and the signature column of the list the
+/// worker scanned last — all three mutate while matching, so they are
 /// per-worker rather than shared, and the DFA cache amortizes across all
 /// the lists one worker scans. Single-plan list sub_select uses it at N=1,
 /// the batched list group at N = group size.
 class ListSearchAutomaton {
  public:
   ListSearchAutomaton() = default;
-  // The DFAs point into `nfa_`.
+  // The DFAs point into `nfa_`, the slots into the plans' bodies.
   ListSearchAutomaton(const ListSearchAutomaton&) = delete;
   ListSearchAutomaton& operator=(const ListSearchAutomaton&) = delete;
 
@@ -322,6 +324,10 @@ class ListSearchAutomaton {
     if (!nfa.ok()) return;
     nfa_.emplace(std::move(*nfa));
     AQUA_OBS_COUNT("pattern.alphabet_preds", nfa_->alphabet().size());
+    for (const ListPatternRef& body : bodies) {
+      pattern_slots_.push_back(
+          ListPatternSlots::Resolve(*body, nfa_->alphabet()));
+    }
     slots_.emplace(std::max<size_t>(threads, 1));
     for (size_t s = 0; s < slots_->size(); ++s) {
       auto dfa = LazyMultiDfa::Make(&*nfa_);
@@ -329,9 +335,10 @@ class ListSearchAutomaton {
     }
   }
 
-  /// The prefilter of one worker slot; disabled when compilation failed.
+  /// The prefilter of one worker slot, bound to pattern 0; disabled when
+  /// compilation failed.
   ListPrefilter ForWorker(size_t worker) {
-    ListPrefilter pre;
+    ListPrefilter pre = Column(worker, 0);
     if (!nfa_.has_value()) return pre;
     Slot& slot = slots_->at(worker);
     pre.nfa = &*nfa_;
@@ -340,12 +347,24 @@ class ListSearchAutomaton {
     return pre;
   }
 
+  /// The signature column that worker's last scan left, bound to pattern
+  /// `j`, with no prefilter of its own (the scan already answered).
+  ListPrefilter Column(size_t worker, size_t j) {
+    ListPrefilter pre;
+    if (!nfa_.has_value()) return pre;
+    pre.column = &slots_->at(worker).column;
+    pre.slots = &pattern_slots_[j];
+    return pre;
+  }
+
  private:
   struct Slot {
     AlphabetScratch scratch;
     std::optional<LazyMultiDfa> dfa;  // unset past the DFA's 58 predicates
+    std::vector<uint64_t> column;
   };
   std::optional<MultiNfa> nfa_;
+  std::vector<ListPatternSlots> pattern_slots_;
   std::optional<WorkerLocal<Slot>> slots_;
 };
 
@@ -739,11 +758,13 @@ class BatchedMatchOpBase : public BatchedPatternOp {
 
 /// Batched list sub_select: the merged search automaton answers "does
 /// pattern j match somewhere in this list" for all patterns in one columnar
-/// scan. A hit runs the unchanged serial matcher (with the per-pattern
-/// prefilter disabled — the batch probe already was that filter); a miss
-/// produces the empty set, exactly what the serial prefilter-reject path
-/// returns (anchors only narrow the unanchored body's language, so a
-/// negative unanchored existence scan is sound — see `ListSubSelect`).
+/// scan, which also leaves the list's signature column. A hit runs the
+/// serial matcher with the per-pattern prefilter disabled (the batch probe
+/// already was that filter), reading its predicate outcomes from the column
+/// and beginning only where its begin set holds; a miss produces the empty
+/// set, exactly what the serial prefilter-reject path returns (anchors only
+/// narrow the unanchored body's language, so a negative unanchored
+/// existence scan is sound — see `ListSubSelect`).
 class BatchedListMatchOp : public BatchedMatchOpBase {
  public:
   using BatchedMatchOpBase::BatchedMatchOpBase;
@@ -767,10 +788,9 @@ class BatchedListMatchOp : public BatchedMatchOpBase {
         automaton_.ForWorker(worker).MatchAll(ctx.view, list);
     for (size_t j = 0; j < plans_.size(); ++j) {
       if ((matched >> j) & 1) {
-        (*out)[j] = ListSubSelectPrefiltered(ctx.view, list,
-                                             plans_[j]->lpattern,
-                                             plans_[j]->lsplit_opts,
-                                             ListPrefilter{});
+        (*out)[j] = ListSubSelectPrefiltered(
+            ctx.view, list, plans_[j]->lpattern, plans_[j]->lsplit_opts,
+            automaton_.Column(worker, j));
       } else {
         // The same rejection a standalone execution of plan j counts.
         AQUA_OBS_COUNT("pattern.nfa_prefilter_rejects", 1);

@@ -157,7 +157,8 @@ Registry::Registry() {
   for (const char* name :
        {"pattern.nfa_steps", "pattern.dfa_hits", "pattern.dfa_misses",
         "pattern.nfa_prefilter_rejects", "pattern.list_match_calls",
-        "pattern.list_steps", "pattern.tree_match_calls",
+        "pattern.list_steps", "pattern.list_pred_evals",
+        "pattern.tree_match_calls",
         "pattern.tree_steps", "pattern.tree_memo_hits",
         "pattern.alphabet_preds", "index.probes",
         "index.candidates", "algebra.structural_nodes_visited",

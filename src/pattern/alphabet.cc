@@ -79,6 +79,15 @@ PredicateRef PredicateInterner::Intern(const PredicateRef& pred) {
   return node;
 }
 
+PredicateRef PredicateInterner::Find(const Predicate& pred) const {
+  auto it = buckets_.find(PredicateStructuralHash(pred));
+  if (it == buckets_.end()) return nullptr;
+  for (const PredicateRef& existing : it->second) {
+    if (PredicateStructuralEquals(*existing, pred)) return existing;
+  }
+  return nullptr;
+}
+
 uint32_t PredicateAlphabet::InternAttr(const std::string& attr) {
   auto it = attr_col_.find(attr);
   if (it != attr_col_.end()) return it->second;
@@ -113,6 +122,13 @@ uint32_t PredicateAlphabet::Intern(const PredicateRef& pred) {
   preds_.push_back(canon);
   slot_of_.emplace(canon.get(), slot);
   return slot;
+}
+
+uint32_t PredicateAlphabet::Find(const Predicate& pred) const {
+  PredicateRef canon = interner_.Find(pred);
+  if (canon == nullptr) return kNoSlot;
+  auto it = slot_of_.find(canon.get());
+  return it != slot_of_.end() ? it->second : kNoSlot;
 }
 
 void PredicateAlphabet::CompileProgram(const Predicate& p,

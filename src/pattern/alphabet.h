@@ -34,6 +34,10 @@ class PredicateInterner {
   /// predicate seen), interning every subtree along the way.
   PredicateRef Intern(const PredicateRef& pred);
 
+  /// The canonical node structurally equal to `pred`, or null when none was
+  /// interned. Does not intern.
+  PredicateRef Find(const Predicate& pred) const;
+
   /// Number of distinct predicate nodes interned so far.
   size_t size() const { return size_; }
 
@@ -97,9 +101,15 @@ struct AlphabetScratch {
 /// the store-read work of one.
 class PredicateAlphabet {
  public:
+  static constexpr uint32_t kNoSlot = static_cast<uint32_t>(-1);
+
   /// Interns a predicate (structural dedup) and returns its slot. Must not
   /// be called after `Seal`.
   uint32_t Intern(const PredicateRef& pred);
+
+  /// The slot of the alphabet predicate structurally equal to `pred`
+  /// (`PredicateStructuralEquals`), or `kNoSlot`. Does not intern.
+  uint32_t Find(const Predicate& pred) const;
 
   /// Compiles the columnar kernels: distinct attribute columns, distinct
   /// leaf comparisons, and one postfix combine program per slot.

@@ -4,6 +4,7 @@
 
 #include "obs/metrics.h"
 #include "obs/query_context.h"
+#include "pattern/alphabet.h"
 #include "pattern/regex_engine.h"
 
 namespace aqua {
@@ -14,14 +15,102 @@ namespace {
 /// exit path (including step-budget errors).
 struct ListMatchFlush {
   const size_t* steps;
-  explicit ListMatchFlush(const size_t* s) : steps(s) {}
+  const size_t* pred_evals;
+  ListMatchFlush(const size_t* s, const size_t* e) : steps(s), pred_evals(e) {}
   ~ListMatchFlush() {
     AQUA_OBS_COUNT("pattern.list_match_calls", 1);
     if (*steps > 0) AQUA_OBS_COUNT("pattern.list_steps", *steps);
+    if (*pred_evals > 0) {
+      AQUA_OBS_COUNT("pattern.list_pred_evals", *pred_evals);
+    }
   }
 };
 
+bool TestBit(const uint64_t* sig, uint32_t slot) {
+  return (sig[slot >> 6] >> (slot & 63)) & 1;
+}
+
 }  // namespace
+
+ListPatternSlots ListPatternSlots::Resolve(const ListPattern& body,
+                                          const PredicateAlphabet& alphabet) {
+  ListPatternSlots s;
+  s.body_ = &body;
+  s.stride_ = alphabet.sig_stride();
+  s.begin_mask_.assign(s.stride_, 0);
+  s.CollectAtoms(body, alphabet);
+  std::sort(s.atoms_.begin(), s.atoms_.end());
+  // The matcher treats a point as able to match nothing, which `Nullable`
+  // does not; a point makes the set unconstrained either way.
+  if (body.Nullable()) {
+    s.begin_unconstrained_ = true;
+  } else {
+    s.CollectBegin(body);
+  }
+  return s;
+}
+
+void ListPatternSlots::CollectAtoms(const ListPattern& p,
+                                    const PredicateAlphabet& alphabet) {
+  if (p.kind() == ListPattern::Kind::kPred) {
+    uint32_t slot = alphabet.Find(*p.pred());
+    if (slot != PredicateAlphabet::kNoSlot) atoms_.push_back({&p, slot});
+    return;
+  }
+  for (const ListPatternRef& part : p.parts()) CollectAtoms(*part, alphabet);
+}
+
+void ListPatternSlots::CollectBegin(const ListPattern& p) {
+  switch (p.kind()) {
+    case ListPattern::Kind::kPred: {
+      uint32_t slot = SlotOf(&p);
+      if (slot == PredicateAlphabet::kNoSlot) {
+        begin_unconstrained_ = true;
+      } else {
+        begin_mask_[slot >> 6] |= 1ULL << (slot & 63);
+      }
+      return;
+    }
+    case ListPattern::Kind::kConcat:
+      // Every part up to the first one that must consume can hold the
+      // first element.
+      for (const ListPatternRef& part : p.parts()) {
+        CollectBegin(*part);
+        if (!part->Nullable()) return;
+      }
+      return;
+    case ListPattern::Kind::kAlt:
+      for (const ListPatternRef& alt : p.parts()) CollectBegin(*alt);
+      return;
+    case ListPattern::Kind::kStar:
+    case ListPattern::Kind::kPlus:
+    case ListPattern::Kind::kPrune:
+      CollectBegin(*p.inner());
+      return;
+    case ListPattern::Kind::kAny:
+    case ListPattern::Kind::kPoint:
+    case ListPattern::Kind::kTreeAtom:
+      begin_unconstrained_ = true;
+      return;
+  }
+}
+
+uint32_t ListPatternSlots::SlotOf(const ListPattern* atom) const {
+  auto it = std::lower_bound(
+      atoms_.begin(), atoms_.end(), atom,
+      [](const std::pair<const ListPattern*, uint32_t>& e,
+         const ListPattern* a) { return e.first < a; });
+  return it != atoms_.end() && it->first == atom ? it->second
+                                                 : PredicateAlphabet::kNoSlot;
+}
+
+bool ListPatternSlots::MayBegin(const uint64_t* sig) const {
+  if (begin_unconstrained_) return true;
+  for (size_t w = 0; w < stride_; ++w) {
+    if ((sig[w] & begin_mask_[w]) != 0) return true;
+  }
+  return false;
+}
 
 std::vector<std::pair<size_t, size_t>> ListMatch::PruneRanges() const {
   std::vector<std::pair<size_t, size_t>> out;
@@ -46,11 +135,25 @@ Status ListMatcher::ValidateListPattern(const ListPattern& p) const {
   return Status::OK();
 }
 
+const ListPatternSlots* ListMatcher::SlotsFor(
+    const ListPatternRef& body) const {
+  return slots_ != nullptr && slots_->body() == body.get() ? slots_ : nullptr;
+}
+
 Result<std::vector<ListMatch>> ListMatcher::FindAll(
     const AnchoredListPattern& pattern, const ListMatchOptions& opts) {
   std::vector<size_t> begins;
+  const ListPatternSlots* slots = SlotsFor(pattern.body);
   if (pattern.anchor_begin) {
     begins.push_back(0);
+  } else if (slots != nullptr && !slots->begin_unconstrained() &&
+             opts.max_steps == 0) {
+    // Skipped begins fail their first atom; a budgeted call keeps every
+    // begin so that its step count does not depend on the column.
+    const size_t stride = slots->stride();
+    for (size_t i = 0; i < list_.size(); ++i) {
+      if (slots->MayBegin(column_ + i * stride)) begins.push_back(i);
+    }
   } else {
     begins.reserve(list_.size() + 1);
     for (size_t i = 0; i <= list_.size(); ++i) begins.push_back(i);
@@ -66,7 +169,9 @@ Result<std::vector<ListMatch>> ListMatcher::FindAllAtBegins(
   }
   AQUA_RETURN_IF_ERROR(ValidateListPattern(*pattern.body));
   steps_ = 0;
-  ListMatchFlush flush(&steps_);
+  pred_evals_ = 0;
+  ListMatchFlush flush(&steps_, &pred_evals_);
+  const ListPatternSlots* slots = SlotsFor(pattern.body);
 
   std::vector<ListMatch> out;
   std::vector<size_t> prune_stack;
@@ -93,7 +198,16 @@ Result<std::vector<ListMatch>> ListMatcher::FindAllAtBegins(
       case ListPattern::Kind::kPred: {
         if (pos >= list_.size()) return;
         const NodePayload& e = list_.at(pos);
-        if (!e.is_cell() || !p.pred()->Eval(store_, e.oid())) return;
+        if (!e.is_cell()) return;
+        const uint32_t slot = slots != nullptr
+                                  ? slots->SlotOf(&p)
+                                  : PredicateAlphabet::kNoSlot;
+        if (slot != PredicateAlphabet::kNoSlot) {
+          if (!TestBit(column_ + pos * slots->stride(), slot)) return;
+        } else {
+          ++pred_evals_;
+          if (!p.pred()->Eval(store_, e.oid())) return;
+        }
         break;
       }
       case ListPattern::Kind::kAny: {

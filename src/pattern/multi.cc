@@ -41,23 +41,31 @@ bool IsSimpleAtom(const ListPattern* p) {
 /// Drives one left-to-right scan of `list` in chunks that grow
 /// geometrically from 16 to 256 elements: each chunk's cells are evaluated
 /// against the whole alphabet in one columnar pass, then `step(element,
-/// sig)` runs per element until it returns false. `sig` points at a cell's
-/// packed signature (an all-zero word when the alphabet is empty) and is
-/// null for a point. Small first chunks keep an early match from
-/// paying for 256 elements of evaluation; full-size later chunks keep long
-/// scans amortized. Counts the rows evaluated in `exec.batch_scan_rows`
-/// and returns the number of elements stepped.
+/// sig)` runs per element while `more` holds (it starts as given and becomes
+/// `step`'s result). `sig` points at a cell's packed signature (an all-zero
+/// word when the alphabet is empty) and is null for a point. Small first
+/// chunks keep an early match from paying for 256 elements of evaluation;
+/// full-size later chunks keep long scans amortized.
+///
+/// With a `column`, every chunk's signatures also land there at their list
+/// positions (`sig_stride()` words each, zero for points), and the chunks
+/// go on to the end of the list after `step` stops, so each row is
+/// evaluated exactly once for the automaton and every matcher that reads
+/// the column. Counts the rows evaluated in `exec.batch_scan_rows` and
+/// returns the number of elements stepped.
 template <typename Step>
 size_t ScanChunks(const PredicateAlphabet& alphabet, const StoreView& store,
-                  const List& list, AlphabetScratch* scratch, Step step) {
+                  const List& list, AlphabetScratch* scratch,
+                  std::vector<uint64_t>* column, bool more, Step step) {
   constexpr size_t kFirstChunk = 16;
   constexpr size_t kMaxChunk = 256;
   static constexpr uint64_t kNoPreds = 0;
   const size_t stride = alphabet.sig_stride();
+  if (column != nullptr) column->assign(list.size() * stride, 0);
   size_t evaluated = 0;
   size_t stepped = 0;
-  bool more = true;
-  for (size_t base = 0, chunk = kFirstChunk; more && base < list.size();
+  for (size_t base = 0, chunk = kFirstChunk;
+       (more || column != nullptr) && base < list.size();
        base += chunk, chunk = std::min(2 * chunk, kMaxChunk)) {
     const size_t end = std::min(base + chunk, list.size());
     scratch->oids.clear();
@@ -69,16 +77,21 @@ size_t ScanChunks(const PredicateAlphabet& alphabet, const StoreView& store,
                        scratch);
     evaluated += end - base;
     size_t cell_pos = 0;
-    for (size_t i = base; more && i < end; ++i) {
+    for (size_t i = base; (more || column != nullptr) && i < end; ++i) {
       const NodePayload& e = list.at(i);
       const uint64_t* sig = nullptr;
       if (e.is_cell()) {
         sig = stride > 0 ? scratch->sigs.data() + cell_pos * stride
                          : &kNoPreds;
+        if (column != nullptr) {
+          std::copy(sig, sig + stride, column->data() + i * stride);
+        }
         ++cell_pos;
       }
-      more = step(e, sig);
-      ++stepped;
+      if (more) {
+        more = step(e, sig);
+        ++stepped;
+      }
     }
   }
   if (evaluated > 0) AQUA_OBS_COUNT("exec.batch_scan_rows", evaluated);
@@ -343,15 +356,15 @@ std::vector<bool> MultiNfa::StepPoint(const std::vector<bool>& from,
 }
 
 uint64_t MultiNfa::MatchAll(const StoreView& store, const List& list,
-                            AlphabetScratch* scratch) const {
+                            AlphabetScratch* scratch,
+                            std::vector<uint64_t>* column) const {
   std::vector<bool> cur(states_.size(), false);
   cur[start_] = true;
   EpsClosure(&cur);
   uint64_t matched = AcceptMask(cur);
-  if (matched == full_mask_) return matched;
 
   const size_t steps = ScanChunks(
-      alphabet_, store, list, scratch,
+      alphabet_, store, list, scratch, column, matched != full_mask_,
       [&](const NodePayload& e, const uint64_t* sig) {
         cur = sig != nullptr ? StepCell(cur, sig)
                              : StepPoint(cur, LabelIndex(e.label()));
@@ -411,15 +424,15 @@ uint32_t LazyMultiDfa::StepState(uint32_t state, uint64_t sig, bool is_cell,
 }
 
 uint64_t LazyMultiDfa::MatchAll(const StoreView& store, const List& list,
-                                AlphabetScratch* scratch) {
+                                AlphabetScratch* scratch,
+                                std::vector<uint64_t>* column) {
   uint64_t matched = state_accept_masks_[start_state_];
   const uint64_t full = nfa_->full_mask();
-  if (matched == full) return matched;
 
   const uint64_t hits0 = hits_;
   const uint64_t misses0 = misses_;
   uint32_t state = start_state_;
-  ScanChunks(nfa_->alphabet(), store, list, scratch,
+  ScanChunks(nfa_->alphabet(), store, list, scratch, column, matched != full,
              [&](const NodePayload& e, const uint64_t* sig) {
                state = sig != nullptr
                            ? StepState(state, *sig, true, 0)

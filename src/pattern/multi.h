@@ -49,8 +49,16 @@ class MultiNfa {
   /// (bit j = patterns[j]): exactly the unanchored existence answer of the
   /// backtracking `ListMatcher` for each pattern. Counts the elements it
   /// steps in `pattern.nfa_steps`.
+  ///
+  /// With a `column`, also leaves the list's *signature column* there:
+  /// `alphabet().sig_stride()` words per list position, the cell's packed
+  /// alphabet outcomes or zero for a point. The scan then evaluates the
+  /// rest of the list in the same chunks after every pattern has matched,
+  /// so the column always covers the whole list; a `ListMatcher` bound to
+  /// it (through `ListPatternSlots`) evaluates no predicate again.
   uint64_t MatchAll(const StoreView& store, const List& list,
-                    AlphabetScratch* scratch) const;
+                    AlphabetScratch* scratch,
+                    std::vector<uint64_t>* column = nullptr) const;
 
   size_t num_patterns() const { return num_patterns_; }
   size_t num_states() const { return states_.size(); }
@@ -141,11 +149,13 @@ class LazyMultiDfa {
   /// supported (signatures pack into 64 bits).
   static Result<LazyMultiDfa> Make(const MultiNfa* nfa);
 
-  /// Same contract as `MultiNfa::MatchAll`. Counts its cache hits and
-  /// misses in `pattern.dfa_hits` / `pattern.dfa_misses`, and each miss —
-  /// one fallback NFA step — in `pattern.nfa_steps`.
+  /// Same contract as `MultiNfa::MatchAll`, the signature column
+  /// included. Counts its cache hits and misses in `pattern.dfa_hits` /
+  /// `pattern.dfa_misses`, and each miss — one fallback NFA step — in
+  /// `pattern.nfa_steps`.
   uint64_t MatchAll(const StoreView& store, const List& list,
-                    AlphabetScratch* scratch);
+                    AlphabetScratch* scratch,
+                    std::vector<uint64_t>* column = nullptr);
 
   size_t num_states() const { return dfa_states_.size(); }
   size_t num_transitions() const { return trans_.size(); }

@@ -183,8 +183,27 @@ Result<Datum> Executor::Execute(const PlanRef& plan) {
   return result;
 }
 
+namespace {
+
+/// Adds one execution's statistics to a batch's running total: counts and
+/// CPU sum, the memory peak is the largest, the id is the latest.
+void FoldStats(const ExecStats& s, ExecStats* total) {
+  total->operators_evaluated += s.operators_evaluated;
+  total->trees_processed += s.trees_processed;
+  total->lists_processed += s.lists_processed;
+  total->index_probes += s.index_probes;
+  total->index_candidates += s.index_candidates;
+  total->cpu_ns += s.cpu_ns;
+  total->mem_peak_bytes = std::max(total->mem_peak_bytes, s.mem_peak_bytes);
+  if (s.query_id != 0) total->query_id = s.query_id;
+}
+
+}  // namespace
+
 std::vector<Result<Datum>> Executor::ExecuteBatch(
     const std::vector<PlanRef>& plans) {
+  stats_ = ExecStats{};
+  ExecStats total;
   std::vector<Result<Datum>> results(
       plans.size(), Result<Datum>(Status::Internal("not executed")));
 
@@ -229,15 +248,24 @@ std::vector<Result<Datum>> Executor::ExecuteBatch(
       singles.push_back(g.indices[0]);
       continue;
     }
-    ExecuteGroup(plans, g.indices, &results);
+    ExecuteGroup(plans, g.indices, &results, &total);
   }
-  for (size_t i : singles) results[i] = Execute(plans[i]);
+  for (size_t i : singles) {
+    results[i] = Execute(plans[i]);
+    FoldStats(stats_, &total);
+  }
+  stats_ = total;
   return results;
 }
 
 void Executor::ExecuteGroup(const std::vector<PlanRef>& plans,
                             const std::vector<size_t>& indices,
-                            std::vector<Result<Datum>>* out) {
+                            std::vector<Result<Datum>>* out,
+                            ExecStats* total) {
+  auto execute_alone = [&](size_t i) {
+    (*out)[i] = Execute(plans[i]);
+    FoldStats(stats_, total);
+  };
   // Lint-gate each member individually: a refused plan gets its refusal as
   // its result and leaves the group; the rest still batch when >= 2 remain.
   std::vector<PlanRef> group;
@@ -252,13 +280,13 @@ void Executor::ExecuteGroup(const std::vector<PlanRef>& plans,
     members.push_back(i);
   }
   if (group.size() < 2) {
-    for (size_t i : members) (*out)[i] = Execute(plans[i]);
+    for (size_t i : members) execute_alone(i);
     return;
   }
 
   std::shared_ptr<exec::BatchedPatternOp> root = exec::CompileBatch(group);
   if (root == nullptr) {
-    for (size_t i : members) (*out)[i] = Execute(plans[i]);
+    for (size_t i : members) execute_alone(i);
     return;
   }
   // One execute per member plan, answered by one scan.
@@ -312,6 +340,21 @@ void Executor::ExecuteGroup(const std::vector<PlanRef>& plans,
   }();
   uint64_t wall_ns = wall.ElapsedNs();
   (void)wall_ns;  // digest input; unused when obs is compiled out
+
+  ExecStats group_stats;
+  group_stats.operators_evaluated =
+      ctx.operators_evaluated.load(std::memory_order_relaxed);
+  group_stats.trees_processed =
+      ctx.trees_processed.load(std::memory_order_relaxed);
+  group_stats.lists_processed =
+      ctx.lists_processed.load(std::memory_order_relaxed);
+  group_stats.index_probes = ctx.index_probes.load(std::memory_order_relaxed);
+  group_stats.index_candidates =
+      ctx.index_candidates.load(std::memory_order_relaxed);
+  group_stats.query_id = qctx.id();
+  group_stats.cpu_ns = qctx.cpu_ns();
+  group_stats.mem_peak_bytes = qctx.mem_peak_bytes();
+  FoldStats(group_stats, total);
 
   // Batch-fatal outcomes (shared-input failure, item type error,
   // cancellation, deadline) apply to every member — a standalone Execute

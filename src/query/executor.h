@@ -16,7 +16,7 @@
 
 namespace aqua {
 
-/// Execution statistics for one `Execute` call.
+/// Execution statistics for one `Execute` or `ExecuteBatch` call.
 struct ExecStats {
   size_t operators_evaluated = 0;
   size_t trees_processed = 0;
@@ -82,9 +82,11 @@ class Executor {
   /// guarantee between plans of a group. Per-batch lifecycle (one
   /// `QueryContext`: deadline, memory budget, cancellation) covers the
   /// whole group; the digest table records each member plan individually
-  /// (wall time attributed evenly across the group). `stats()`, `trace()`
-  /// and `ExplainAnalyze` reflect only the plans that fell back to
-  /// `Execute`.
+  /// (wall time attributed evenly across the group). `stats()` covers the
+  /// whole batch: counts and CPU summed over every group and fallback
+  /// `Execute`, the largest memory peak, the id of the last query run.
+  /// `trace()` and `ExplainAnalyze` reflect only the plans that fell back
+  /// to `Execute`.
   std::vector<Result<Datum>> ExecuteBatch(const std::vector<PlanRef>& plans);
 
   const ExecStats& stats() const { return stats_; }
@@ -155,11 +157,11 @@ class Executor {
 
   /// Runs one verified batchable group (>= 2 plans) through
   /// `exec::CompileBatch`, writing each member's result to
-  /// `out[indices[k]]`. Falls back to individual `Execute` calls when the
-  /// group fails to compile.
+  /// `out[indices[k]]` and adding its statistics to `total`. Falls back to
+  /// individual `Execute` calls when the group fails to compile.
   void ExecuteGroup(const std::vector<PlanRef>& plans,
                     const std::vector<size_t>& indices,
-                    std::vector<Result<Datum>>* out);
+                    std::vector<Result<Datum>>* out, ExecStats* total);
 
   Database* db_;
   size_t threads_override_ = 0;

@@ -153,6 +153,115 @@ TEST_F(BatchedMatchTest, ListGroupCountsSameRejectsAsPerPlanExecution) {
 }
 #endif  // AQUA_OBS_DISABLED
 
+TEST_F(BatchedMatchTest, ExecuteBatchFillsExecStats) {
+  // A batch of one list group and one fallback single: stats() covers both,
+  // not the Execute that ran before the batch.
+  PlanRef scan = Q::ScanList("l");
+  std::vector<PlanRef> plans = {
+      Q::ListSubSelect(scan, LP("a b")), Q::ListSubSelect(scan, LP("b c")),
+      Q::ListSubSelect(scan, LP("a ?* d")),
+      Q::TreeSubSelect(Q::ScanTree("t"), TP("b(d ?)")),
+  };
+  Executor exec(&db_);
+  exec.set_threads(1);
+  ASSERT_OK(exec.Execute(Q::TreeSubSelect(Q::ScanTree("t"), TP("x"))).status());
+  [[maybe_unused]] const ExecStats previous = exec.stats();
+
+  ExecStats standalone;
+  Executor ref(&db_);
+  ref.set_threads(1);
+  for (const PlanRef& plan : plans) {
+    ASSERT_OK(ref.Execute(plan).status());
+    standalone.lists_processed += ref.stats().lists_processed;
+    standalone.trees_processed += ref.stats().trees_processed;
+  }
+
+  for (const Result<Datum>& r : exec.ExecuteBatch(plans)) {
+    ASSERT_OK(r.status());
+  }
+  const ExecStats& s = exec.stats();
+  EXPECT_EQ(s.lists_processed, standalone.lists_processed);
+  EXPECT_EQ(s.trees_processed, standalone.trees_processed);
+  EXPECT_EQ(s.lists_processed, 3u);
+  EXPECT_GT(s.operators_evaluated, 0u);
+#ifndef AQUA_OBS_DISABLED
+  EXPECT_GT(s.cpu_ns, 0u);
+  EXPECT_GT(s.mem_peak_bytes, 0u);
+  EXPECT_NE(s.query_id, 0u);
+  EXPECT_NE(s.query_id, previous.query_id);
+#endif
+
+  // An empty batch runs nothing and reports nothing.
+  EXPECT_TRUE(exec.ExecuteBatch({}).empty());
+  EXPECT_EQ(exec.stats().lists_processed, 0u);
+  EXPECT_EQ(exec.stats().cpu_ns, 0u);
+  EXPECT_EQ(exec.stats().query_id, 0u);
+}
+
+#ifndef AQUA_OBS_DISABLED
+/// A song of `n` notes whose pitches are all "Z" except for `hits` copies of
+/// the run C D E, spread evenly; durations are 1 except after each C.
+List HeadHitSong(ObjectStore& store, size_t n, size_t hits) {
+  EXPECT_OK(RegisterNoteType(store));
+  const size_t gap = n / hits;
+  List song;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t off = i % gap;
+    const char* pitch = off == 0 ? "C" : off == 1 ? "D" : off == 2 ? "E" : "Z";
+    auto note = store.Create("Note", {{"pitch", Value::String(pitch)},
+                                      {"duration", Value::Int(off == 1 ? 2 : 1)}});
+    EXPECT_OK(note.status());
+    song.Append(NodePayload::Cell(*note));
+  }
+  return song;
+}
+
+TEST(BatchedListWorkTest, MatcherWorkFollowsHeadHitsNotSongLength) {
+  // Eight pitch-headed motifs, as the motif batches of the request
+  // benchmark: the merged scan evaluates every note once, the matchers read
+  // its signature column (no predicate evaluated again) and begin only at
+  // head hits, so their steps do not grow with the song.
+  const char* kMotifs[] = {
+      "{pitch == \"C\"} ? {pitch == \"E\"}",
+      "{pitch == \"C\"} {duration == 2} {pitch == \"E\"}",
+      "{pitch == \"D\"} {pitch == \"E\"}",
+      "{pitch == \"C\"} ? ?",
+      "{pitch == \"E\"} {pitch == \"Z\"}",
+      "{pitch == \"C\"} {pitch == \"D\"} | {pitch == \"E\"} ?",
+      "{pitch == \"D\"} !? {duration == 1}",
+      "{pitch == \"A\"} ?",
+  };
+  constexpr size_t kHits = 16;
+  std::vector<uint64_t> steps;
+  for (size_t n : {2048u, 4096u}) {
+    Database db;
+    ASSERT_OK(db.RegisterList("song", HeadHitSong(db.store(), n, kHits)));
+    std::vector<PlanRef> plans;
+    for (const char* m : kMotifs) {
+      auto lp = ParseListPattern(m);
+      ASSERT_OK(lp.status());
+      plans.push_back(Q::ListSubSelect(Q::ScanList("song"), *lp));
+    }
+    Executor exec(&db);
+    exec.set_threads(1);
+    obs::Registry& reg = obs::Registry::Global();
+    obs::Snapshot before = reg.Snap();
+    for (const Result<Datum>& r : exec.ExecuteBatch(plans)) {
+      ASSERT_OK(r.status());
+    }
+    obs::Snapshot d = reg.Snap().DeltaSince(before);
+    EXPECT_EQ(d.CounterValue("pattern.list_pred_evals"), 0u) << n;
+    EXPECT_LE(d.CounterValue("exec.batch_scan_rows"), n) << n;
+    // Three head hits per run (C, D, E); at most 4 probes per pattern and
+    // hit (352 in all today; over 8n without the begin set).
+    EXPECT_LE(d.CounterValue("pattern.list_steps"), 8u * 3 * kHits * 4) << n;
+    steps.push_back(d.CounterValue("pattern.list_steps"));
+  }
+  EXPECT_GT(steps[0], 0u);
+  EXPECT_EQ(steps[0], steps[1]);
+}
+#endif  // AQUA_OBS_DISABLED
+
 TEST_F(BatchedMatchTest, ForestInputsFanOutPerItem) {
   // sub_select over a select's forest output: the batch shares the forest
   // scan and probes every subtree item once for all patterns.

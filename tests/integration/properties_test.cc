@@ -3,6 +3,8 @@
 //  * derived operators agree with their split-based definitions;
 //  * the list search automaton (NFA and lazy DFA, single and merged) agrees
 //    with the backtracking matcher, and batched execution with single;
+//  * a matcher reading the automaton's signature column agrees with one
+//    evaluating predicates against the store;
 //  * select is order-stable (matched nodes keep their preorder order);
 //  * list operators agree with tree operators through the §6 mapping;
 //  * hash-indexed set dedup agrees with a linear deep-equality scan.
@@ -452,11 +454,184 @@ std::string RandomListLiteral(std::mt19937_64& rng, size_t max_len) {
   return lit + "]";
 }
 
+/// A random list pattern for the signature-column route: the operators of
+/// `RandomListPattern` plus pattern points `@x` and a negated predicate.
+ListPatternRef RandomColumnPattern(std::mt19937_64& rng, int depth) {
+  if (depth <= 0 || rng() % 6 == 0) {
+    switch (rng() % 5) {
+      case 0:
+        return ListPattern::Any();
+      case 1:
+        return ListPattern::Point("x");
+      case 2:
+        return ListPattern::Pred(Predicate::Not(
+            Predicate::AttrEquals("name", Value::String("a"))));
+      case 3:
+        return ListPattern::Pred(
+            Predicate::AttrEquals("name", Value::String("a")));
+      default:
+        return ListPattern::Pred(
+            Predicate::AttrEquals("name", Value::String("b")));
+    }
+  }
+  switch (rng() % 5) {
+    case 0: {
+      std::vector<ListPatternRef> parts;
+      for (size_t i = 2 + rng() % 2; i > 0; --i) {
+        parts.push_back(RandomColumnPattern(rng, depth - 1));
+      }
+      return ListPattern::Concat(std::move(parts));
+    }
+    case 1:
+      return ListPattern::Alt({RandomColumnPattern(rng, depth - 1),
+                               RandomColumnPattern(rng, depth - 1)});
+    case 2:
+      return ListPattern::Star(RandomColumnPattern(rng, depth - 1));
+    case 3:
+      return ListPattern::Plus(RandomColumnPattern(rng, depth - 1));
+    default:
+      return ListPattern::Prune(RandomColumnPattern(rng, depth - 1));
+  }
+}
+
+/// A pattern over more than 64 distinct predicates: an alternation of 70
+/// absent names and `a`, then a random tail. Merged first into a batch, it
+/// pushes every later pattern's slots into the second signature word.
+ListPatternRef WideListPattern(std::mt19937_64& rng) {
+  std::vector<ListPatternRef> alts;
+  for (int k = 0; k < 70; ++k) {
+    std::string absent = "w";
+    absent += std::to_string(k);
+    alts.push_back(ListPattern::Pred(
+        Predicate::AttrEquals("name", Value::String(std::move(absent)))));
+  }
+  alts.push_back(
+      ListPattern::Pred(Predicate::AttrEquals("name", Value::String("a"))));
+  return ListPattern::Concat(
+      {ListPattern::Alt(std::move(alts)), RandomColumnPattern(rng, 2)});
+}
+
+/// The signature-column route: a matcher reading the merged scan's column
+/// (one bit test per probe, begins filtered by the begin set) returns the
+/// `Eval` route's matches in the same order without evaluating a
+/// predicate, and the interpreter, per-plan `Execute` and `ExecuteBatch`
+/// at 1 and 4 threads give the same answers byte for byte. Unbudgeted, so
+/// the begin filter is on; bodies whose `Eval` enumeration exceeds the
+/// budget are left out. Odd rounds merge a pattern of more than 64
+/// predicates first: two signature words, and no DFA.
+void CheckColumnRoute(Database& db, const AtomFn& atom, std::mt19937_64& rng,
+                      size_t budget, uint64_t seed) {
+  LabelFn label = AttrLabelFn(&db.store(), "name");
+  auto render = [&](const Result<Datum>& r) {
+    return r.ok() ? r->ToString(label) : r.status().ToString();
+  };
+  auto lp_of = [](const std::string& text) {
+    auto lp = ParseListPattern(text);
+    EXPECT_TRUE(lp.ok()) << lp.status().ToString();
+    return lp.ok() ? *lp : AnchoredListPattern{};
+  };
+  size_t column_compared = 0;
+  for (int round = 0; round < 12; ++round) {
+    const bool wide = round % 2 == 1;
+    std::string name = "c";
+    name += std::to_string(round);
+    const std::string lit = RandomListLiteral(rng, 24);
+    ASSERT_OK_AND_ASSIGN(List l, ParseListLiteral(lit, atom));
+    ASSERT_OK(db.RegisterList(name, l));
+
+    std::vector<AnchoredListPattern> lps;
+    const size_t n = 1 + rng() % 6;
+    for (size_t j = 0; j < n; ++j) {
+      ListPatternRef body = wide && j == 0 ? WideListPattern(rng)
+                                           : RandomColumnPattern(rng, 3);
+      if (rng() % 4 == 0) {
+        body = ListPattern::Concat({ListPattern::Any(), body});
+      }
+      AnchoredListPattern lp{body, rng() % 4 == 0, rng() % 4 == 0};
+      ListMatchOptions bounded;
+      bounded.max_steps = budget;
+      if (!ListMatcher(db.store(), l).FindAll(lp, bounded).ok()) continue;
+      lps.push_back(lp);
+    }
+    if (lps.empty()) continue;
+    std::vector<ListPatternRef> bodies;
+    for (const AnchoredListPattern& lp : lps) bodies.push_back(lp.body);
+    ASSERT_OK_AND_ASSIGN(MultiNfa nfa, MultiNfa::CompileSearch(bodies));
+    if (wide) {
+      EXPECT_GT(nfa.alphabet().sig_stride(), 1u);
+      EXPECT_FALSE(LazyMultiDfa::Make(&nfa).ok());
+    }
+    AlphabetScratch scratch;
+    std::vector<uint64_t> column;
+    const uint64_t mask = nfa.MatchAll(db.store(), l, &scratch, &column);
+    ASSERT_EQ(column.size(), l.size() * nfa.alphabet().sig_stride());
+
+    for (size_t j = 0; j < lps.size(); ++j) {
+      const ListPatternSlots slots =
+          ListPatternSlots::Resolve(*lps[j].body, nfa.alphabet());
+      ListMatcher by_eval(db.store(), l);
+      ListMatcher by_column(db.store(), l, column.data(), &slots);
+      ASSERT_OK_AND_ASSIGN(std::vector<ListMatch> want,
+                           by_eval.FindAll(lps[j]));
+      ASSERT_OK_AND_ASSIGN(std::vector<ListMatch> got,
+                           by_column.FindAll(lps[j]));
+      const std::string where = lps[j].ToString() + " over " + lit +
+                                " seed=" + std::to_string(seed);
+      EXPECT_TRUE(got == want) << where;
+      EXPECT_EQ(by_column.pred_evals(), 0u) << where;
+      EXPECT_LE(by_column.steps(), by_eval.steps()) << where;
+      if (((mask >> j) & 1) == 0) {
+        EXPECT_TRUE(want.empty()) << where;
+      }
+      EXPECT_EQ(render(ListSubSelect(db.store(), l, lps[j])),
+                render(ListSubSelectPrefiltered(db.store(), l, lps[j], {},
+                                                ListPrefilter{})))
+          << where;
+      ++column_compared;
+    }
+
+    const PlanRef scan = Q::ScanList(name);
+    for (const PlanRef& input :
+         {scan, Q::ListSubSelect(scan, lp_of("? ? ? ? ?"))}) {
+      std::vector<PlanRef> plans;
+      for (const AnchoredListPattern& lp : lps) {
+        plans.push_back(Q::ListSubSelect(input, lp));
+      }
+      Executor single(&db);
+      single.set_threads(1);
+      std::vector<std::string> want;
+      for (size_t j = 0; j < plans.size(); ++j) {
+        want.push_back(render(single.Execute(plans[j])));
+        if (input == scan) {
+          EXPECT_EQ(want.back(),
+                    render(ListSubSelectPrefiltered(db.store(), l, lps[j], {},
+                                                    ListPrefilter{})))
+              << "plan " << j << " seed=" << seed;
+        }
+      }
+      for (size_t threads : {1u, 4u}) {
+        Executor batch(&db);
+        batch.set_threads(threads);
+        std::vector<Result<Datum>> got = batch.ExecuteBatch(plans);
+        ASSERT_EQ(got.size(), plans.size());
+        for (size_t j = 0; j < plans.size(); ++j) {
+          EXPECT_EQ(render(got[j]), want[j])
+              << lps[j].ToString() << " at threads=" << threads
+              << " seed=" << seed;
+        }
+      }
+    }
+  }
+  EXPECT_GT(column_compared, 10u);
+
+}
+
 TEST_P(PropertiesTest, MergedListAutomatonAgreesWithBacktrackerAndBatch) {
   // Differential net over the list existence paths: for a batch of 1..8
   // random patterns, every bit of the merged automaton (NFA simulation and
   // lazy DFA) is the backtracker's unanchored existence answer, and
-  // `ExecuteBatch` equals per-plan `Execute` at 1 and 4 threads.
+  // `ExecuteBatch` equals per-plan `Execute` at 1 and 4 threads; then the
+  // signature-column route against the `Eval` route (`CheckColumnRoute`).
   std::mt19937_64 rng(GetParam() * 6151);
   Database db;
   ASSERT_OK(RegisterItemType(db.store()));
@@ -524,6 +699,8 @@ TEST_P(PropertiesTest, MergedListAutomatonAgreesWithBacktrackerAndBatch) {
     }
   }
   EXPECT_GT(compared, 10u);  // the budget must not skip everything
+
+  CheckColumnRoute(db, atom, rng, kBudget, GetParam());
 }
 
 TEST_P(PropertiesTest, HashedSetDedupAgreesWithLinearScan) {
